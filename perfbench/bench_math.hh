@@ -74,6 +74,42 @@ median(std::vector<double> v)
     return percentile(std::move(v), 50.0);
 }
 
+/** Samples per group of the latency estimator: a group's p90 then has
+    kMinBeyond samples beyond it. */
+constexpr size_t kGroupSamples = 100;
+
+/**
+ * Cut @p samples (in arrival order) into groups of @p size consecutive
+ * samples, fold a short remainder into the last full group, and return
+ * each group's percentile @p q. Fewer than @p size samples make one
+ * group.
+ */
+inline std::vector<double>
+groupPercentiles(const std::vector<double>& samples, size_t size, double q)
+{
+    size_t groups = std::max<size_t>(1, samples.size() / size);
+    std::vector<double> out;
+    for (size_t g = 0; g < groups && !samples.empty(); ++g) {
+        auto first = samples.begin() + g * size;
+        auto last = g + 1 == groups ? samples.end() : first + size;
+        out.push_back(percentile(std::vector<double>(first, last), q));
+    }
+    return out;
+}
+
+/**
+ * The latency a run reports: the lower quartile of the groups'
+ * percentile @p q. A stretch of the run that the host slowed raises
+ * the groups that fall in it; up to three quarters of the groups can
+ * be slowed before the figure moves, while a slowdown of the program
+ * itself raises every group and moves it.
+ */
+inline double
+favourableLatency(const std::vector<double>& samples, double q)
+{
+    return percentile(groupPercentiles(samples, kGroupSamples, q), 25.0);
+}
+
 /** One SLO probe: a short open-loop slice at a fixed offered rate. */
 struct Rung
 {

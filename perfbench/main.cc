@@ -58,6 +58,7 @@ struct Workload
     size_t sloProbes;  //!< SLO probe slices per round
     size_t sloMinSamples; //!< a probe lasts until this many arrivals
     double reloadPeriodMs;
+    size_t setups;     //!< timed set-ups per round
 };
 
 constexpr size_t kMaxBatch = 16;
@@ -65,10 +66,10 @@ constexpr size_t kMaxBatch = 16;
 const Workload kWorkloads[] = {
     {"cnn-poisson", ModelKind::Cnn, false, 256, 500, 64, 25000,
      1000.0, 4000.0, 30000.0, 7.0, 4000.0, 13000.0, 0.025, 64,
-     0.30, 0.30, 0.25, 0.25, 0.25, 2, 600, 0.0},
+     0.30, 0.30, 0.25, 0.25, 0.25, 2, 600, 0.0, 4},
     {"lm-overload-reload", ModelKind::Lm, true, 128, 500, 32, 250000,
-     30.0, 60.0, 1100.0, 100.0, 100.0, 350.0, 0.05, 48,
-     2.00, 1.50, 0.75, 0.40, 1.20, 4, 150, 250.0},
+     30.0, 60.0, 1100.0, 100.0, 120.0, 300.0, 0.06, 48,
+     2.70, 1.60, 0.60, 0.30, 0.50, 3, 120, 250.0, 1},
 };
 
 struct Args
@@ -200,125 +201,62 @@ rssProbe(const Workload& w, const std::string& artifact)
 }
 
 /**
- * setup_s: artifact on disk to first correct response, through a
- * freshly built model, the BatchServer ctor and one request.
+ * One set-up for setup_s: artifact on disk to first correct response,
+ * through a freshly built model, the BatchServer ctor and request
+ * @p item. Returns seconds.
  */
 double
 measureSetup(const Workload& w, const Artifacts& art, const Pool& pool,
-             Tracer& tracer, Ledger& ledger)
+             size_t item, Tracer& tracer, Ledger& ledger)
 {
-    // At least kMinReps set-ups, more while they fit the budget.
-    constexpr size_t kMinReps = 7, kMaxReps = 25;
-    constexpr double kBudgetS = 1.5;
-    std::vector<double> secs;
-    double spent = 0.0;
-    for (size_t i = 0;
-         i < kMinReps || (i < kMaxReps && spent < kBudgetS); ++i) {
-        Clock::time_point t0 = Clock::now();
-        auto model = buildArch(w.model, 99 + i);
-        size_t adopted = 0;
-        LoadResult lr = tryLoadDeployArtifact(art.a, *model, adopted);
-        if (!lr.ok())
-            fatal("perfbench: artifact A refused: " + lr.message);
-        BatchServer srv(*model, 1, traitsOf(w.model), normalOptions(w));
-        std::future<Tensor> f = srv.submit(pool.items[i]).future;
-        SliceResult one;
-        Clock::time_point t1 = settleOne(f, pool, uint32_t(i), false, t0,
-                                         one);
-        tracer.record(tracer.newId(), 0, "setup", t0, t1);
-        secs.push_back(msBetween(t0, t1) / 1e3);
-        spent += secs.back();
-        srv.stop(true);
-        ++ledger.submitted;
-        ledger.ok += one.ledger.ok;
-        ledger.wrong += one.ledger.settled() - one.ledger.ok;
-    }
-    return median(secs);
+    Clock::time_point t0 = Clock::now();
+    auto model = buildArch(w.model, 99 + item);
+    size_t adopted = 0;
+    LoadResult lr = tryLoadDeployArtifact(art.a, *model, adopted);
+    if (!lr.ok())
+        fatal("perfbench: artifact A refused: " + lr.message);
+    BatchServer srv(*model, 1, traitsOf(w.model), normalOptions(w));
+    uint32_t i = uint32_t(item % pool.items.size());
+    std::future<Tensor> f = srv.submit(pool.items[i]).future;
+    SliceResult one;
+    Clock::time_point t1 = settleOne(f, pool, i, false, t0, one);
+    tracer.record(tracer.newId(), 0, "setup", t0, t1);
+    srv.stop(true);
+    ++ledger.submitted;
+    ledger.ok += one.ledger.ok;
+    ledger.wrong += one.ledger.settled() - one.ledger.ok;
+    return msBetween(t0, t1) / 1e3;
 }
 
 /**
- * One phase's slices, accumulated over the run.
- *
- * A host that shares its CPUs slows some stretches of a run, and a
- * slowed stretch can only raise latency and lower throughput. So each
- * phase is cut into pieces (groups of consecutive slices holding at
- * least kGroupSamples responses, so p90 has kMinBeyond samples beyond
- * it; or single slices for rates) and the run reports the quartile on
- * the favourable side: the lower quartile of the pieces' latency
- * percentiles, the upper quartile of their rates. That figure repeats
- * while up to three quarters of a run is disturbed; a slowdown the
- * program causes in every piece still moves it.
+ * One phase's slices, accumulated over the run. Latencies are reported
+ * with favourableLatency() (bench_math.hh); rates per slice, as the
+ * upper quartile over the run's slices, for the same reason: a
+ * stretch the host slowed can only lower a slice's rate.
  */
-constexpr size_t kGroupSamples = 100;
-
 struct Phase
 {
-    SliceResult all; //!< every slice: ledger and information lines
-    std::vector<SliceResult> slices;
-    std::vector<size_t> roundOf; //!< round index of each slice
+    SliceResult all; //!< every slice, in order
+    std::vector<double> rates; //!< ok items / second of each slice
     bool overload = false;
     size_t failed = 0;
     std::string ledgerError;
 
-    void add(SliceResult s, size_t round)
+    void add(const SliceResult& s)
     {
         all.add(s);
+        rates.push_back(double(s.ledger.ok) / s.seconds);
         failed += s.ledger.failed(overload);
         std::string why;
         if (!s.ledger.balanced(&why) && ledgerError.empty())
             ledgerError = why;
-        s.lateMs.clear(); // kept in all; slices feed the estimators
-        s.submitUs.clear();
-        slices.push_back(std::move(s));
-        roundOf.push_back(round);
     }
 
-    /** Lower quartile over groups of each group's percentile @p q,
-        using the slices of rounds @p use marks; a short last group is
-        folded into its predecessor. */
-    double latency(double q, const std::vector<bool>& use) const
-    {
-        std::vector<std::vector<double>> g{{}};
-        for (size_t i = 0; i < slices.size(); ++i) {
-            if (!use[roundOf[i]])
-                continue;
-            if (g.back().size() >= kGroupSamples)
-                g.emplace_back();
-            g.back().insert(g.back().end(), slices[i].latMs.begin(),
-                            slices[i].latMs.end());
-        }
-        if (g.size() > 1 && g.back().size() < kGroupSamples) {
-            g[g.size() - 2].insert(g[g.size() - 2].end(),
-                                   g.back().begin(), g.back().end());
-            g.pop_back();
-        }
-        std::vector<double> v;
-        for (const auto& samples : g)
-            if (percentileSupported(q, samples.size()))
-                v.push_back(percentile(samples, q));
-        return percentile(v, 25);
-    }
-
-    /** Upper quartile of the rates (ok items / second) of the slices
-        of rounds @p use marks. */
-    double rate(const std::vector<bool>& use) const
-    {
-        std::vector<double> v;
-        for (size_t i = 0; i < slices.size(); ++i)
-            if (use[roundOf[i]])
-                v.push_back(double(slices[i].ledger.ok) /
-                            slices[i].seconds);
-        return percentile(v, 75);
-    }
+    double latency(double q) const { return favourableLatency(all.latMs, q); }
+    double rate() const { return percentile(rates, 75); }
 };
 
 using Named = std::pair<const char*, Phase*>;
-
-struct ProbeRecord
-{
-    double rate;
-    SliceResult slice;
-};
 
 void
 printInfo(const char* phase, const SliceResult& s)
@@ -389,9 +327,6 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
                 int(args.trace), ompThreads,
                 std::thread::hardware_concurrency(), kMaxBatch);
 
-    Ledger setupLedger;
-    double setupS = measureSetup(w, art, pool, tracer, setupLedger);
-
     auto normalModel = loadModel(w.model, art.a);
     auto overModel = loadModel(w.model, art.a);
     BatchServer normal(*normalModel, 1, traitsOf(w.model),
@@ -401,11 +336,9 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
     Schedule sched(args.seed);
     Phase warm;
     warm.add(closedLoop(normal, pool, sched, 2 * kMaxBatch, 0.0, false,
-                        tracer, 0),
-             0);
+                        tracer, 0));
     warm.add(closedLoop(shedder, pool, sched, 2 * kMaxBatch, 0.0, false,
-                        tracer, 0),
-             0);
+                        tracer, 0));
 
     std::unique_ptr<Reloader> reloader;
     if (w.reload)
@@ -413,9 +346,8 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
                                               tracer);
     Collector col(pool, tracer);
 
-    Phase light, mid, sat, over;
+    Phase light, mid, slo, sat, over;
     over.overload = true;
-    std::vector<ProbeRecord> probes;
     std::vector<double> sloResults;
     SloSearch search(w.sloFloor, w.sloCeil, w.sloRes);
 
@@ -433,41 +365,26 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
         return s;
     };
 
-    // A round during which the hypervisor took more than
-    // kMaxStealShare of the host's CPU time (steal in /proc/stat) is
-    // measured again, within a time cap; its requests still count in
-    // the ledger and the information lines, but not in the metrics.
-    // A search is kept only if all of its probes ran in clean rounds.
-    constexpr double kMaxStealShare = 0.05;
-    constexpr double kExtraTime = 0.3; //!< cap: seconds * (1 + this)
     double round = w.lightS + w.midS + w.sloS * double(w.sloProbes) +
                    w.satS + w.overS;
-    size_t rounds = std::max<size_t>(1, size_t(args.seconds / round));
-    double cpus = std::max(1u, std::thread::hardware_concurrency());
-    std::vector<bool> clean;
-    size_t cleanRounds = 0;
-    std::vector<size_t> searchRounds; //!< rounds the search touched
-    std::vector<std::vector<size_t>> resultRounds;
+    size_t rounds =
+        std::max<size_t>(1, size_t(std::lround(args.seconds / round)));
+    Ledger setupLedger;
+    std::vector<double> setupSecs;
     Clock::time_point runStart = Clock::now();
     double stealStart = stealS();
-    auto elapsedS = [&] {
-        return msBetween(runStart, Clock::now()) / 1e3;
-    };
-    for (size_t r = 0;
-         cleanRounds < rounds &&
-         (r < rounds ||
-          elapsedS() + round <= args.seconds * (1.0 + kExtraTime));
-         ++r) {
-        Clock::time_point roundStart = Clock::now();
-        double roundSteal = stealS();
+    for (size_t r = 0; r < rounds; ++r) {
+        for (size_t i = 0; i < w.setups; ++i)
+            setupSecs.push_back(measureSetup(w, art, pool, setupSecs.size(),
+                                             tracer, setupLedger));
         light.add(slice("slice.light", normal, [&](uint64_t id) {
             return openLoop(normal, col, pool, sched, w.lightRps,
                             w.lightS, 0, false, tracer, id);
-        }), r);
+        }));
         mid.add(slice("slice.mid", normal, [&](uint64_t id) {
             return openLoop(normal, col, pool, sched, w.midRps, w.midS,
                             0, false, tracer, id);
-        }), r);
+        }));
         for (size_t p = 0; p < w.sloProbes; ++p) {
             double rate = search.next();
             double secs =
@@ -489,62 +406,32 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
                         r, rate, rung.p90Ms, rung.samples, rung.lost,
                         s.backlogMid, s.backlogEnd,
                         int(rungPasses(rung, w.sloLimitMs)));
-            probes.push_back({rate, std::move(s)});
-            if (searchRounds.empty() || searchRounds.back() != r)
-                searchRounds.push_back(r);
+            slo.add(s);
             if (search.done()) {
                 sloResults.push_back(search.result());
-                resultRounds.push_back(std::move(searchRounds));
-                searchRounds.clear();
                 search = SloSearch(w.sloFloor, w.sloCeil, w.sloRes);
             }
         }
         sat.add(slice("slice.sat", normal, [&](uint64_t id) {
             return closedLoop(normal, pool, sched, w.window, w.satS,
                               false, tracer, id);
-        }), r);
+        }));
         over.add(slice("slice.over", shedder, [&](uint64_t id) {
             return openLoop(shedder, col, pool, sched, w.overRps, w.overS,
                             w.overDeadlineUs, w.reload, tracer, id);
-        }), r);
-        double share = (stealS() - roundSteal) /
-                       (msBetween(roundStart, Clock::now()) / 1e3 * cpus);
-        clean.push_back(share <= kMaxStealShare);
-        cleanRounds += clean.back();
+        }));
     }
-    double runS = elapsedS();
+    double runS = msBetween(runStart, Clock::now()) / 1e3;
     if (reloader)
         reloader->stop();
 
     // ------------------------------------------------------ verdicts
     std::vector<std::string> problems;
-    // Too few clean rounds: measure on all of them and say so.
-    std::vector<bool> use = clean;
-    if (cleanRounds * 2 < rounds) {
-        use.assign(clean.size(), true);
-        std::printf("invalid run: the host took more than %.0f%% of the "
-                    "CPU in %zu of %zu rounds\n",
-                    kMaxStealShare * 100, clean.size() - cleanRounds,
-                    clean.size());
-    }
-    std::vector<double> sloKept;
-    for (size_t i = 0; i < sloResults.size(); ++i)
-        if (std::all_of(resultRounds[i].begin(), resultRounds[i].end(),
-                        [&](size_t r) { return use[r]; }))
-            sloKept.push_back(sloResults[i]);
-    if (sloKept.empty())
-        sloKept = sloResults;
     // Disturbed stretches fail rungs that a steady host passes, so
     // searches err low; report the upper quartile of their answers.
-    double sloRate = percentile(sloKept, 75);
+    double sloRate = percentile(sloResults, 75);
     if (sloResults.empty())
         problems.push_back("no SLO search completed");
-    Phase slo;
-    for (ProbeRecord& pr : probes) {
-        // Loss counts as failure only on rungs the answer vouches for.
-        slo.overload = pr.rate > sloRate;
-        slo.add(std::move(pr.slice), 0);
-    }
     size_t attempted = setupLedger.submitted;
     size_t failed = setupLedger.failed(false);
     for (Phase* ph : {&warm, &light, &mid, &slo, &sat, &over}) {
@@ -583,11 +470,18 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
          {Named{"light", &light}, Named{"mid", &mid}, Named{"slo", &slo},
           Named{"sat", &sat}, Named{"over", &over}})
         printInfo(name, ph->all);
-    std::printf("info rounds=%zu clean=%zu run_s=%.2f steal_s=%.2f "
+    std::printf("info groups light=%zu mid=%zu over=%zu\n",
+                groupPercentiles(light.all.latMs, kGroupSamples, 50).size(),
+                groupPercentiles(mid.all.latMs, kGroupSamples, 50).size(),
+                groupPercentiles(over.all.latMs, kGroupSamples, 50).size());
+    std::printf("info setup_ms n=%zu p25=%.3f p50=%.3f p75=%.3f\n",
+                setupSecs.size(), percentile(setupSecs, 25) * 1e3,
+                median(setupSecs) * 1e3, percentile(setupSecs, 75) * 1e3);
+    std::printf("info rounds=%zu run_s=%.2f steal_s=%.2f "
                 "slo_probes=%zu gen_late_ms p90=%.4f max=%.3f "
                 "slo_searches=",
-                clean.size(), cleanRounds, runS, stealS() - stealStart,
-                probes.size(), lateP90, lateMax);
+                rounds, runS, stealS() - stealStart,
+                slo.rates.size(), lateP90, lateMax);
     for (double r : sloResults)
         std::printf("%.1f ", r);
     std::printf("\n");
@@ -599,16 +493,15 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
 
     Metrics m;
     if (!args.trace) {
-        m.push_back({"setup_s", setupS, "s"});
-        m.push_back({"lat_p50_ms.light", light.latency(50, use), "ms"});
-        m.push_back({"lat_p90_ms.light", light.latency(90, use), "ms"});
-        m.push_back({"lat_p50_ms.mid", mid.latency(50, use), "ms"});
-        m.push_back({"lat_p90_ms.mid", mid.latency(90, use), "ms"});
+        m.push_back({"setup_s", median(setupSecs), "s"});
+        m.push_back({"lat_p50_ms.light", light.latency(50), "ms"});
+        m.push_back({"lat_p90_ms.light", light.latency(90), "ms"});
+        m.push_back({"lat_p50_ms.mid", mid.latency(50), "ms"});
+        m.push_back({"lat_p90_ms.mid", mid.latency(90), "ms"});
         m.push_back({"slo_rate_rps", sloRate, "req/s"});
-        m.push_back(
-            {"peak_items_per_s", sat.rate(use), "items/s"});
-        m.push_back({"goodput_items_per_s", over.rate(use), "items/s"});
-        m.push_back({"lat_p50_ms.over", over.latency(50, use), "ms"});
+        m.push_back({"peak_items_per_s", sat.rate(), "items/s"});
+        m.push_back({"goodput_items_per_s", over.rate(), "items/s"});
+        m.push_back({"lat_p50_ms.over", over.latency(50), "ms"});
     } else {
         // Per-layer rows of the served model, then the per-step rows
         // of both models so every workload prints the same names.

@@ -2,7 +2,8 @@
  * @file
  * Tests of the benchmark's own arithmetic (bench_math.hh): percentiles,
  * the SLO rate search on a synthetic latency curve, and the phase
- * ledger. Exits nonzero on the first failed check.
+ * ledger, and the grouped latency estimator. Exits nonzero on the
+ * first failed check.
  */
 
 #include <cmath>
@@ -59,6 +60,38 @@ testPercentiles()
     CHECK(!percentileSupported(99.9, 9999));
     CHECK(percentileSupported(99.9, 10000));
     CHECK(!percentileSupported(50, 0));
+}
+
+void
+testGroups()
+{
+    // 250 samples: groups 1..100 and 101..250 (the remainder of 50 is
+    // folded into the last full group).
+    std::vector<double> s;
+    for (size_t i = 1; i <= 250; ++i)
+        s.push_back(double(i));
+    std::vector<double> g = groupPercentiles(s, 100, 90);
+    CHECK(g.size() == 2);
+    CHECK(g[0] == 90.0);
+    CHECK(g[1] == 235.0); // rank 135 of 150 values starting at 101
+    CHECK(groupPercentiles(oneTo(40), 100, 50).size() == 1);
+    CHECK(groupPercentiles({}, 100, 50).empty());
+
+    // Eight groups of 100; two (a quarter) sit in a slowed stretch.
+    std::vector<double> run;
+    for (size_t grp = 0; grp < 8; ++grp)
+        for (size_t i = 1; i <= kGroupSamples; ++i)
+            run.push_back(double(i) * (grp == 2 || grp == 5 ? 3.0 : 1.0));
+    CHECK(favourableLatency(run, 90) == 90.0);
+    // Six of eight slowed still leave it; seven move it.
+    std::vector<double> six, seven;
+    for (size_t grp = 0; grp < 8; ++grp)
+        for (size_t i = 1; i <= kGroupSamples; ++i) {
+            six.push_back(double(i) * (grp < 6 ? 3.0 : 1.0));
+            seven.push_back(double(i) * (grp < 7 ? 3.0 : 1.0));
+        }
+    CHECK(favourableLatency(six, 90) == 90.0);
+    CHECK(favourableLatency(seven, 90) == 270.0);
 }
 
 /** Synthetic M/M/1-like curve: p90 = base / (1 - rate / capacity). */
@@ -183,6 +216,7 @@ int
 main()
 {
     testPercentiles();
+    testGroups();
     testSloSearch();
     testLedger();
     if (failures) {
