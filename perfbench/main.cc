@@ -68,7 +68,7 @@ const Workload kWorkloads[] = {
      1000.0, 4000.0, 30000.0, 7.0, 4000.0, 13000.0, 0.025, 64,
      0.30, 0.30, 0.25, 0.25, 0.25, 2, 600, 0.0, 4},
     {"lm-overload-reload", ModelKind::Lm, true, 128, 500, 32, 250000,
-     30.0, 60.0, 1100.0, 100.0, 120.0, 300.0, 0.06, 48,
+     30.0, 50.0, 1100.0, 100.0, 120.0, 300.0, 0.06, 48,
      2.70, 1.60, 0.60, 0.30, 0.50, 3, 120, 250.0, 1},
 };
 
