@@ -38,38 +38,36 @@ using namespace perfbench;
 
 namespace {
 
-/** Everything that defines a workload. Rates and limits are fixed
-    numbers; METRICS.md gives the measurements behind them. */
+/** Served model and traffic, shared by every workload. Rates and limits
+    are fixed numbers; METRICS.md gives the measurements behind them. */
+constexpr ModelKind kModel = ModelKind::Cnn;
+constexpr size_t kMaxBatch = 16;
+constexpr size_t kPoolSize = 256;      //!< distinct request items
+constexpr long kBatchWaitUs = 500;     //!< ServeOptions::deadlineUs
+constexpr size_t kOverQueue = 64;      //!< overload maxQueueItems (Shed)
+constexpr long kOverDeadlineUs = 25000; //!< per-request deadline, overload
+constexpr double kLightRps = 1000.0, kMidRps = 4000.0, kOverRps = 30000.0;
+constexpr double kSloLimitMs = 7.0;    //!< p90 limit of an SLO rung
+constexpr double kSloFloor = 4000.0, kSloCeil = 13000.0, kSloRes = 0.025;
+constexpr size_t kSloProbes = 2;       //!< SLO probe slices per round
+constexpr size_t kSloMinSamples = 600; //!< a probe lasts this many arrivals
+constexpr size_t kWindow = 64;         //!< closed-loop outstanding requests
+constexpr size_t kSetups = 4;          //!< timed set-ups per round
+// Seconds of each slice in one round (overload: per workload).
+constexpr double kLightS = 0.30, kMidS = 0.30, kSloS = 0.25, kSatS = 0.25;
+
+/** What the workloads differ in: live reloads during overload. */
 struct Workload
 {
     const char* name;
-    ModelKind model;
     bool reload;       //!< reload A/B/damaged during overload slices
-    size_t poolSize;   //!< distinct request items
-    long batchWaitUs;  //!< ServeOptions::deadlineUs (coalescing wait)
-    size_t overQueue;  //!< overload server's maxQueueItems (Shed)
-    long overDeadlineUs; //!< per-request deadline under overload
-    double lightRps, midRps, overRps;
-    double sloLimitMs; //!< p90 limit of an SLO rung
-    double sloFloor, sloCeil, sloRes;
-    size_t window;     //!< closed-loop outstanding requests
-    // Seconds of each slice in one round.
-    double lightS, midS, sloS, satS, overS;
-    size_t sloProbes;  //!< SLO probe slices per round
-    size_t sloMinSamples; //!< a probe lasts until this many arrivals
+    double overS;      //!< seconds of the overload slice in one round
     double reloadPeriodMs;
-    size_t setups;     //!< timed set-ups per round
 };
 
-constexpr size_t kMaxBatch = 16;
-
 const Workload kWorkloads[] = {
-    {"cnn-poisson", ModelKind::Cnn, false, 256, 500, 64, 25000,
-     1000.0, 4000.0, 30000.0, 7.0, 4000.0, 13000.0, 0.025, 64,
-     0.30, 0.30, 0.25, 0.25, 0.25, 2, 600, 0.0, 4},
-    {"lm-overload-reload", ModelKind::Lm, true, 128, 500, 32, 250000,
-     30.0, 50.0, 1100.0, 100.0, 120.0, 300.0, 0.06, 48,
-     2.70, 1.60, 0.60, 0.30, 0.50, 3, 120, 250.0, 1},
+    {"cnn-poisson", false, 0.25, 0.0},
+    {"cnn-overload-reload", true, 0.50, 100.0},
 };
 
 struct Args
@@ -130,20 +128,20 @@ ompTeam()
 }
 
 ServeOptions
-normalOptions(const Workload& w)
+normalOptions()
 {
     ServeOptions o;
     o.maxBatch = kMaxBatch;
     o.ompThreads = ompTeam();
-    o.deadlineUs = w.batchWaitUs;
+    o.deadlineUs = kBatchWaitUs;
     return o;
 }
 
 ServeOptions
-overloadOptions(const Workload& w)
+overloadOptions()
 {
-    ServeOptions o = normalOptions(w);
-    o.maxQueueItems = w.overQueue;
+    ServeOptions o = normalOptions();
+    o.maxQueueItems = kOverQueue;
     o.overload = OverloadPolicy::Shed;
     return o;
 }
@@ -185,14 +183,14 @@ stealS()
  * the reference models are not counted.
  */
 int
-rssProbe(const Workload& w, const std::string& artifact)
+rssProbe(const std::string& artifact)
 {
-    auto model = loadModel(w.model, artifact);
-    BatchServer srv(*model, 1, traitsOf(w.model), normalOptions(w));
+    auto model = loadModel(kModel, artifact);
+    BatchServer srv(*model, 1, traitsOf(kModel), normalOptions());
     Rng rng(7);
     std::vector<std::future<Tensor>> futs;
     for (size_t i = 0; i < 2 * kMaxBatch; ++i)
-        futs.push_back(srv.submit(makeItem(w.model, rng)).future);
+        futs.push_back(srv.submit(makeItem(kModel, rng)).future);
     for (auto& f : futs)
         f.get();
     srv.stop(true);
@@ -206,16 +204,16 @@ rssProbe(const Workload& w, const std::string& artifact)
  * @p item. Returns seconds.
  */
 double
-measureSetup(const Workload& w, const Artifacts& art, const Pool& pool,
-             size_t item, Tracer& tracer, Ledger& ledger)
+measureSetup(const Artifacts& art, const Pool& pool, size_t item,
+             Tracer& tracer, Ledger& ledger)
 {
     Clock::time_point t0 = Clock::now();
-    auto model = buildArch(w.model, 99 + item);
+    auto model = buildArch(kModel, 99 + item);
     size_t adopted = 0;
     LoadResult lr = tryLoadDeployArtifact(art.a, *model, adopted);
     if (!lr.ok())
         fatal("perfbench: artifact A refused: " + lr.message);
-    BatchServer srv(*model, 1, traitsOf(w.model), normalOptions(w));
+    BatchServer srv(*model, 1, traitsOf(kModel), normalOptions());
     uint32_t i = uint32_t(item % pool.items.size());
     std::future<Tensor> f = srv.submit(pool.items[i]).future;
     SliceResult one;
@@ -316,7 +314,7 @@ int
 runWorkload(const Workload& w, const Args& args, const Artifacts& art)
 {
     Tracer tracer(args.trace);
-    Pool pool = makePool(w.model, art, w.poolSize, args.seed * 7919 + 11);
+    Pool pool = makePool(kModel, art, kPoolSize, args.seed * 7919 + 11);
     int ompThreads = ompTeam();
 #ifdef _OPENMP
     omp_set_num_threads(ompThreads); // standalone layer timings too
@@ -327,12 +325,10 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
                 int(args.trace), ompThreads,
                 std::thread::hardware_concurrency(), kMaxBatch);
 
-    auto normalModel = loadModel(w.model, art.a);
-    auto overModel = loadModel(w.model, art.a);
-    BatchServer normal(*normalModel, 1, traitsOf(w.model),
-                       normalOptions(w));
-    BatchServer shedder(*overModel, 1, traitsOf(w.model),
-                        overloadOptions(w));
+    auto normalModel = loadModel(kModel, art.a);
+    auto overModel = loadModel(kModel, art.a);
+    BatchServer normal(*normalModel, 1, traitsOf(kModel), normalOptions());
+    BatchServer shedder(*overModel, 1, traitsOf(kModel), overloadOptions());
     Schedule sched(args.seed);
     Phase warm;
     warm.add(closedLoop(normal, pool, sched, 2 * kMaxBatch, 0.0, false,
@@ -349,7 +345,7 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
     Phase light, mid, slo, sat, over;
     over.overload = true;
     std::vector<double> sloResults;
-    SloSearch search(w.sloFloor, w.sloCeil, w.sloRes);
+    SloSearch search(kSloFloor, kSloCeil, kSloRes);
 
     // Only the overload server is reloaded, so every other slice must
     // return artifact A's bits.
@@ -365,8 +361,8 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
         return s;
     };
 
-    double round = w.lightS + w.midS + w.sloS * double(w.sloProbes) +
-                   w.satS + w.overS;
+    double round = kLightS + kMidS + kSloS * double(kSloProbes) +
+                   kSatS + w.overS;
     size_t rounds =
         std::max<size_t>(1, size_t(std::lround(args.seconds / round)));
     Ledger setupLedger;
@@ -374,21 +370,21 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
     Clock::time_point runStart = Clock::now();
     double stealStart = stealS();
     for (size_t r = 0; r < rounds; ++r) {
-        for (size_t i = 0; i < w.setups; ++i)
-            setupSecs.push_back(measureSetup(w, art, pool, setupSecs.size(),
+        for (size_t i = 0; i < kSetups; ++i)
+            setupSecs.push_back(measureSetup(art, pool, setupSecs.size(),
                                              tracer, setupLedger));
         light.add(slice("slice.light", normal, [&](uint64_t id) {
-            return openLoop(normal, col, pool, sched, w.lightRps,
-                            w.lightS, 0, false, tracer, id);
+            return openLoop(normal, col, pool, sched, kLightRps,
+                            kLightS, 0, false, tracer, id);
         }));
         mid.add(slice("slice.mid", normal, [&](uint64_t id) {
-            return openLoop(normal, col, pool, sched, w.midRps, w.midS,
+            return openLoop(normal, col, pool, sched, kMidRps, kMidS,
                             0, false, tracer, id);
         }));
-        for (size_t p = 0; p < w.sloProbes; ++p) {
+        for (size_t p = 0; p < kSloProbes; ++p) {
             double rate = search.next();
             double secs =
-                std::max(w.sloS, double(w.sloMinSamples) / rate);
+                std::max(kSloS, double(kSloMinSamples) / rate);
             SliceResult s = slice("slice.slo", normal, [&](uint64_t id) {
                 return openLoop(normal, col, pool, sched, rate, secs, 0,
                                 false, tracer, id);
@@ -400,25 +396,25 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
             rung.lost = s.ledger.submitted - s.ledger.ok;
             rung.backlogGrew =
                 backlogGrowing(s.backlogMid, s.backlogEnd, 2 * kMaxBatch);
-            search.record(rung, w.sloLimitMs);
+            search.record(rung, kSloLimitMs);
             std::printf("info probe round=%zu rate=%.1f p90=%.3f n=%zu "
                         "lost=%zu backlog=%zu->%zu pass=%d\n",
                         r, rate, rung.p90Ms, rung.samples, rung.lost,
                         s.backlogMid, s.backlogEnd,
-                        int(rungPasses(rung, w.sloLimitMs)));
+                        int(rungPasses(rung, kSloLimitMs)));
             slo.add(s);
             if (search.done()) {
                 sloResults.push_back(search.result());
-                search = SloSearch(w.sloFloor, w.sloCeil, w.sloRes);
+                search = SloSearch(kSloFloor, kSloCeil, kSloRes);
             }
         }
         sat.add(slice("slice.sat", normal, [&](uint64_t id) {
-            return closedLoop(normal, pool, sched, w.window, w.satS,
+            return closedLoop(normal, pool, sched, kWindow, kSatS,
                               false, tracer, id);
         }));
         over.add(slice("slice.over", shedder, [&](uint64_t id) {
-            return openLoop(shedder, col, pool, sched, w.overRps, w.overS,
-                            w.overDeadlineUs, w.reload, tracer, id);
+            return openLoop(shedder, col, pool, sched, kOverRps, w.overS,
+                            kOverDeadlineUs, w.reload, tracer, id);
         }));
     }
     double runS = msBetween(runStart, Clock::now()) / 1e3;
@@ -505,11 +501,11 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
     } else {
         // Per-layer rows of the served model, then the per-step rows
         // of both models so every workload prints the same names.
-        measureSerial(w.model, art, tracer, m);
+        measureSerial(kModel, art, tracer, m);
         double runB1 =
-            measurePlanExec(w.model, art, pool, kMaxBatch, tracer, m);
+            measurePlanExec(kModel, art, pool, kMaxBatch, tracer, m);
         for (ModelKind k : {ModelKind::Cnn, ModelKind::Lm}) {
-            if (k == w.model) {
+            if (k == kModel) {
                 measureSteps(k, art, pool, tracer, m, true);
             } else {
                 Artifacts other = writeArtifacts(k, args.workdir);
@@ -553,7 +549,7 @@ runWorkload(const Workload& w, const Args& args, const Artifacts& art)
                      "ratio"});
 
         Ledger overheadLedger;
-        double overheadPct = traceOverheadPct(normal, pool, sched, w.window,
+        double overheadPct = traceOverheadPct(normal, pool, sched, kWindow,
                                               tracer, overheadLedger);
         attempted += overheadLedger.submitted;
         failed += overheadLedger.failed(false);
@@ -626,10 +622,8 @@ main(int argc, char** argv)
     Args args = parseArgs(argc, argv);
     const Workload& w = findWorkload(args.workload);
     std::filesystem::create_directories(args.workdir);
-    if (args.rssProbe) {
-        return rssProbe(w, args.workdir + "/" + modelName(w.model) +
-                               "_a.mixq");
-    }
-    Artifacts art = writeArtifacts(w.model, args.workdir);
+    if (args.rssProbe)
+        return rssProbe(args.workdir + "/" + modelName(kModel) + "_a.mixq");
+    Artifacts art = writeArtifacts(kModel, args.workdir);
     return runWorkload(w, args, art);
 }

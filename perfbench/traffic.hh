@@ -7,7 +7,7 @@
  *
  * Thread budget of a run: the calling thread paces (open loop) or
  * drives the window (closed loop), one collector thread settles
- * open-loop futures, and lm-overload-reload adds one reload thread.
+ * open-loop futures, and cnn-overload-reload adds one reload thread.
  */
 
 #ifndef PERFBENCH_TRAFFIC_HH
