@@ -74,22 +74,43 @@
 
 namespace mixq {
 
+namespace detail {
+/** Open OmpSerialScope count on this thread. */
+inline thread_local unsigned ompSerialDepth = 0;
+} // namespace detail
+
 /**
  * True when the caller already executes inside an OpenMP parallel
- * region. The deterministic-parallel passes (quantizer fits, the
- * fused ADMM penalty walk, SGD blocks, the loss rows) use this as
- * their `if` clause so they never nest parallel regions — the chunk
- * specs stay fixed either way, only the execution goes serial.
+ * region, or inside an OmpSerialScope. The deterministic-parallel
+ * passes (quantizer fits, the fused ADMM penalty walk, SGD blocks,
+ * the loss rows, the serve kernels) use this as their `if` clause so
+ * they never nest parallel regions — the chunk specs stay fixed
+ * either way, only the execution goes serial.
  */
 inline bool
 inOmpParallel()
 {
 #ifdef _OPENMP
-    return omp_in_parallel() != 0;
+    return detail::ompSerialDepth != 0 || omp_in_parallel() != 0;
 #else
     return false;
 #endif
 }
+
+/**
+ * While alive, inOmpParallel() reads true on the constructing
+ * thread, so every kernel guarded by it runs serially there. The
+ * serving executor opens one per item lane: a lane is already one
+ * member of a busy team, or a single item that should not wake one.
+ */
+class OmpSerialScope
+{
+  public:
+    OmpSerialScope() { ++detail::ompSerialDepth; }
+    ~OmpSerialScope() { --detail::ompSerialDepth; }
+    OmpSerialScope(const OmpSerialScope&) = delete;
+    OmpSerialScope& operator=(const OmpSerialScope&) = delete;
+};
 
 /** Which kernel family services a GEMM call. */
 enum class GemmKernel {

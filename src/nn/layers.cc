@@ -560,7 +560,7 @@ Conv2d::forwardServe(const TensorView& x, const TensorView& y,
         ActQuantParams ap = actQuantParams(actq_);
         if (halfwordSafe(ap, ckk)) {
             quantizeActsInt(x.data, s.qIn16.data(), n * chw, ap);
-            #pragma omp parallel for schedule(static)
+            #pragma omp parallel for schedule(static) if (!inOmpParallel())
             for (long i = 0; i < long(n); ++i) {
                 int16_t* colsI =
                     s.qCols16.data() + size_t(i) * ckk * ohow;
@@ -579,7 +579,7 @@ Conv2d::forwardServe(const TensorView& x, const TensorView& y,
             return;
         }
         quantizeActsInt(x.data, s.qIn32.data(), n * chw, ap);
-        #pragma omp parallel for schedule(static)
+        #pragma omp parallel for schedule(static) if (!inOmpParallel())
         for (long i = 0; i < long(n); ++i) {
             int32_t* colsI = s.qCols32.data() + size_t(i) * ckk * ohow;
             int32_t* acc = s.qAcc.data() + size_t(i) * outCh_ * ohow;
@@ -603,7 +603,7 @@ Conv2d::forwardServe(const TensorView& x, const TensorView& y,
         actq_.quantizeOnly({s.xq.data(), n * chw});
         src = s.xq.data();
     }
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if (!inOmpParallel())
     for (long i = 0; i < long(n); ++i) {
         const float* img = src + size_t(i) * chw;
         float* col = s.cols.data() + size_t(i) * ckk * ohow;
@@ -903,7 +903,7 @@ DwConv2d::forwardServe(const TensorView& x, const TensorView& y,
         ActQuantParams ap = actQuantParams(actq_);
         if (halfwordSafe(ap, kk)) {
             quantizeActsInt(x.data, s.qIn16.data(), n * chw, ap);
-            #pragma omp parallel for schedule(static)
+            #pragma omp parallel for schedule(static) if (!inOmpParallel())
             for (long i = 0; i < long(n); ++i) {
                 int16_t* cols =
                     s.qCols16.data() + size_t(i) * kk * ohow;
@@ -925,7 +925,7 @@ DwConv2d::forwardServe(const TensorView& x, const TensorView& y,
             return;
         }
         quantizeActsInt(x.data, s.qIn32.data(), n * chw, ap);
-        #pragma omp parallel for schedule(static)
+        #pragma omp parallel for schedule(static) if (!inOmpParallel())
         for (long i = 0; i < long(n); ++i) {
             int32_t* cols = s.qCols32.data() + size_t(i) * kk * ohow;
             int32_t* acc = s.qAcc.data() + size_t(i) * ohow;
@@ -949,7 +949,7 @@ DwConv2d::forwardServe(const TensorView& x, const TensorView& y,
         actq_.quantizeOnly({s.xq.data(), n * chw});
         src = s.xq.data();
     }
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if (!inOmpParallel())
     for (long idx = 0; idx < long(n * ch_); ++idx) {
         size_t i = size_t(idx) / ch_;
         size_t c = size_t(idx) % ch_;
@@ -1190,7 +1190,7 @@ BatchNorm2d::forwardServe(const TensorView& x, const TensorView& y,
         return;
     }
     size_t n = x.dim(0), plane = x.dim(2) * x.dim(3);
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) if (!inOmpParallel())
     for (long ic = 0; ic < long(n * ch_); ++ic) {
         size_t c = size_t(ic) % ch_;
         float m = float(s.mean[c]);

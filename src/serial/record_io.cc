@@ -4,6 +4,7 @@
 #include <cstring>
 
 #ifdef __unix__
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -48,6 +49,19 @@ dtypeSize(RecDType t)
     panic("record: unknown dtype");
 }
 
+/** Product of @p dims times @p unit; false when it overflows. */
+bool
+checkedProduct(const std::vector<uint64_t>& dims, size_t unit,
+               size_t& out)
+{
+    size_t n = unit;
+    for (uint64_t d : dims)
+        if (__builtin_mul_overflow(n, d, &n))
+            return false;
+    out = n;
+    return true;
+}
+
 } // namespace
 
 const char*
@@ -81,9 +95,9 @@ loadStatusName(LoadStatus s)
 size_t
 Record::elems() const
 {
-    size_t n = 1;
-    for (uint64_t d : shape)
-        n *= size_t(d);
+    size_t n = 0;
+    MIXQ_ASSERT(checkedProduct(shape, 1, n),
+                "record: shape product overflows");
     return n;
 }
 
@@ -272,9 +286,21 @@ RecordFile::parse(const std::string& path, const char* magic,
     if (!f)
         throw RecordLoadError(LoadStatus::OpenFailed,
                               "cannot open " + path);
-    std::fseek(f, 0, SEEK_END);
-    long fsize = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
+    // fopen succeeds on a directory, where ftell may read LONG_MAX.
+    bool regular = true;
+#ifdef __unix__
+    struct stat st;
+    regular = fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode);
+#endif
+    long fsize = -1;
+    if (regular && std::fseek(f, 0, SEEK_END) == 0)
+        fsize = std::ftell(f);
+    if (fsize < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+        std::fclose(f);
+        throw RecordLoadError(LoadStatus::OpenFailed,
+                              "cannot read " + path +
+                                  " as a regular file");
+    }
     std::vector<uint8_t> buf;
     buf.resize(size_t(fsize));
     if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
@@ -341,7 +367,10 @@ RecordFile::parse(const std::string& path, const char* magic,
         uint64_t payload;
         std::memcpy(&payload, buf.data() + pos, 8);
         pos += 8;
-        if (payload != rec.elems() * dtypeSize(rec.dtype))
+        size_t shapeBytes = 0;
+        if (!checkedProduct(rec.shape, dtypeSize(rec.dtype),
+                            shapeBytes) ||
+            payload != shapeBytes)
             throw RecordLoadError(
                 LoadStatus::Corrupt,
                 path + ": record payload does not match its shape — "

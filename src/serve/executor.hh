@@ -20,10 +20,21 @@
  * interpolation is exact (asserted).
  *
  * Construction and run() are single-threaded from the caller's view
- * (one worker thread per replica); the layer forwards open their own
- * OpenMP regions exactly as the scope-path eval forward does, so
- * outputs are bit-identical to Module::forward(x, false) at every
- * thread count.
+ * (one worker thread per replica). With a team of more than one
+ * thread, a batch-axis-0 plan runs its item-local prefix — the
+ * leading convolution, BatchNorm, activation, pooling and residual
+ * steps — item-parallel inside ONE OpenMP region per batch: each
+ * team member ("lane") computes whole items through every prefix
+ * layer in its own unit-batch slab, with the layer kernels serial,
+ * and stages its items' prefix outputs; after the join the staging
+ * area is copied into the shared slab and the batched tail (the
+ * weight-reusing Linear head, every RNN, every time-major plan) runs
+ * the layers' own batched forwards. A lane never writes the shared
+ * slab: its liveness packing reuses offsets across steps whose
+ * per-item sizes differ. Each item runs exactly the single-item
+ * computation, and the tail's kernels are thread-count invariant,
+ * so outputs are bit-identical to Module::forward(x, false) alone
+ * or in any batch, at every thread count.
  */
 
 #ifndef MIXQ_SERVE_EXECUTOR_HH
@@ -51,10 +62,16 @@ class PlanExecutor
      * weight panels via the layers' prepareServe — idempotent per
      * weight version, so building a second executor over the same
      * model packs nothing and shares the first one's panels.
+     *
+     * @p team is the OpenMP team run() may use (0: this thread's
+     * omp_get_max_threads()). Above one, a batch-axis-0 plan whose
+     * item-local prefix holds a convolution gets min(team, maxItems)
+     * lanes, each with a unit-batch slab and one-item scratch for
+     * the prefix steps, whose max-batch scratch is then not
+     * allocated.
      */
     PlanExecutor(Module& root, const std::vector<size_t>& itemShape,
-                 size_t batchAxis, size_t maxItems);
-    ~PlanExecutor();
+                 size_t batchAxis, size_t maxItems, int team = 0);
     PlanExecutor(const PlanExecutor&) = delete;
     PlanExecutor& operator=(const PlanExecutor&) = delete;
 
@@ -99,8 +116,14 @@ class PlanExecutor
     size_t maxItems() const { return maxItems_; }
     /** Allocated slab size (the plan's peak, page-rounded up). */
     size_t slabBytes() const { return slabBytes_; }
-    /** Total bytes of this replica's per-step serve scratch. */
+    /**
+     * This replica's memory beyond the plan slab: every step's serve
+     * scratch plus, when it runs lanes, their slabs and the staging
+     * area.
+     */
     size_t scratchBytes() const;
+    /** Item lanes of the prefix (0: every step runs batched). */
+    size_t lanes() const { return lanes_.size(); }
 
   private:
     /** Resolved step: the plan step plus its serve lowering. */
@@ -137,19 +160,55 @@ class PlanExecutor
         TensorView in, out;
     };
 
+    struct SlabFree
+    {
+        void operator()(float* p) const;
+    };
+    using Slab = std::unique_ptr<float[], SlabFree>;
+
+    /** One team member's private state for the item-local prefix. */
+    struct Lane
+    {
+        Slab slab;                    //!< unit-plan layout
+        std::vector<StepExec> steps;  //!< prefix steps, one-item scratch
+        std::vector<StepViews> views; //!< prefix views into slab
+    };
+
+    /** A prefix output the tail reads, staged per item by lanes. */
+    struct Staged
+    {
+        size_t buf = 0;    //!< plan buffer index
+        size_t floats = 0; //!< per-item size
+        size_t at = 0;     //!< offset of item 0 in stage_
+    };
+
     float* buf(size_t i) const
     {
-        return slab_ + plan_.buffers[i].offset / sizeof(float);
+        return slab_.get() + plan_.buffers[i].offset / sizeof(float);
     }
     std::vector<size_t> runtimeShape(size_t bufIdx, size_t n) const;
+    static Slab allocSlab(size_t bytes);
+    static Op opOf(const PlanStep& ps);
+    /** (Re)size @p se's scratch for input shape @p in and stage the
+        layer's eval constants (prepareServe). */
+    static void stage(StepExec& se, const std::vector<size_t>& in);
+    static void exec(const StepExec& se, const TensorView& x,
+                     const TensorView& y);
+    void buildLanes(size_t count);
+    void runPrefix(size_t items);
+    void runItem(Lane& lane, size_t item);
 
     ServePlan unit_; //!< plan at batch 1 (shape interpolation anchor)
     ServePlan plan_; //!< plan at maxItems (offsets, scratch sizing)
     size_t maxItems_ = 1;
-    float* slab_ = nullptr;
+    Slab slab_;
     size_t slabBytes_ = 0;
     std::vector<StepExec> steps_;
     std::vector<std::vector<StepViews>> viewsByN_; //!< [items][step]
+    size_t prefix_ = 0;         //!< steps run per item on lanes_
+    std::vector<Lane> lanes_;
+    std::vector<Staged> staged_;
+    std::vector<float> stage_;  //!< [staged buffer][maxItems][item]
 };
 
 } // namespace mixq

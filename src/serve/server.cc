@@ -88,7 +88,7 @@ BatchServer::BatchServer(Module& model, size_t replicas,
     for (size_t i = 0; i < replicas; ++i)
         execs_.push_back(std::make_unique<PlanExecutor>(
             model, traits_.itemShape, traits_.batchAxis,
-            opt_.maxBatch));
+            opt_.maxBatch, opt_.ompThreads));
     plan_ = execs_[0]->plan();
     arenaCapacity_.store(execs_[0]->slabBytes(),
                          std::memory_order_relaxed);

@@ -26,7 +26,8 @@
  * Planned mode (shared model): the plan is *executed*, not just a
  * sizing hint. One immutable model is shared by every worker; each
  * worker owns only a PlanExecutor (serve/executor.hh) — a pre-
- * faulted slab plus per-step serve scratch — and gathers requests
+ * faulted slab plus per-step serve scratch, and for a CNN one item
+ * lane per member of its ompThreads team — and gathers requests
  * straight into the slab's input buffer, runs the recorded step
  * list at the planner's fixed offsets, and scatters from the output
  * buffer. Steady state allocates nothing at all: no heap *and* no
@@ -143,8 +144,9 @@ struct ServeOptions
                             //!< never coalesce (batch of one request)
     size_t arenaBytes = 0; //!< arena capacity floor; 0 = sized from
                            //!< warmup measurement and the plan
-    int ompThreads = 0;    //!< omp_set_num_threads per worker; 0 =
-                           //!< inherit the environment
+    int ompThreads = 0;    //!< omp_set_num_threads per worker and
+                           //!< the planned executors' lane count;
+                           //!< 0 = inherit the environment
     bool planArena = true; //!< run the ahead-of-time planner
     size_t maxQueueItems = 0; //!< admission bound on queued items;
                               //!< 0 = unbounded (no admission
@@ -193,8 +195,9 @@ class BatchServer
         size_t planPeakBytes = 0;  //!< planner's analytic peak
         size_t arenaHighWater = 0; //!< worker 0's observed peak
         size_t arenaOverflows = 0; //!< heap-fallback allocations
-        size_t scratchBytes = 0;   //!< worker 0's per-replica serve
-                                   //!< scratch (planned mode only)
+        size_t scratchBytes = 0;   //!< worker 0's memory beyond its
+                                   //!< slab: serve scratch, lane
+                                   //!< slabs, staging (planned only)
         size_t accepted = 0; //!< requests admitted to the queue
         size_t shed = 0;     //!< requests dropped by overload policy
         size_t expired = 0;  //!< requests dropped past their deadline

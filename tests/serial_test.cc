@@ -26,6 +26,7 @@
 #include "serial/checkpoint.hh"
 #include "serial/deploy.hh"
 #include "serve/fault.hh"
+#include "serve/server.hh"
 #include "util/rng.hh"
 
 namespace mixq {
@@ -653,6 +654,87 @@ TEST(SerialRecoverable, FailedArtifactStageLeavesTheModelUntouched)
               0);
 
     for (const std::string& p : {artifact, ckpt})
+        std::remove(p.c_str());
+}
+
+TEST(SerialRecoverable, DirectoryPathIsOpenFailedNotACrash)
+{
+    // fopen accepts a directory; its size must not be trusted.
+    const std::string dir = testing::TempDir();
+    Rng rng(66);
+    auto model = makeTinyConvNet(4, rng, 4);
+    size_t adopted = 0;
+    LoadResult res = tryLoadDeployArtifact(dir, *model, adopted);
+    EXPECT_EQ(res.status, LoadStatus::OpenFailed) << res.message;
+    CheckpointLoadResult out;
+    res = tryLoadCheckpoint(dir, *model, out);
+    EXPECT_EQ(res.status, LoadStatus::OpenFailed) << res.message;
+
+    // Through a live server: refused, and the old weights serve on.
+    Tensor x = makeImageDataset(ImageTask::Easy, 1, 10).images;
+    Tensor ref = model->forward(x, false);
+    BatchTraits traits;
+    traits.itemShape = x.shape();
+    ServeOptions opt;
+    opt.deadlineUs = 0;
+    BatchServer server(*model, size_t(1), traits, opt);
+    res = server.reloadArtifact(dir);
+    EXPECT_EQ(res.status, LoadStatus::OpenFailed) << res.message;
+    Tensor got = server.submit(Tensor(x)).future.get();
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                          ref.size() * sizeof(float)),
+              0);
+    server.stop(true);
+}
+
+void
+putBytes(std::vector<uint8_t>& buf, const void* p, size_t n)
+{
+    const uint8_t* b = static_cast<const uint8_t*>(p);
+    buf.insert(buf.end(), b, b + n);
+}
+
+TEST(SerialRecoverable, WrappingShapeProductIsCorrupt)
+{
+    Rng rng(67);
+    auto model = makeTinyConvNet(4, rng, 4);
+    const std::string ckpt = tmpPath("wrap_src.bin");
+    saveCheckpoint(ckpt, *model);
+    const std::vector<uint8_t> whole = readAll(ckpt);
+
+    // One f32 record of shape [2^62, 4]: 2^64 elements wrap to 0,
+    // matching an empty payload unless the product is checked.
+    std::vector<uint8_t> body;
+    const uint32_t nameLen = 1;
+    putBytes(body, &nameLen, 4);
+    body.push_back('w');
+    body.push_back(0); // RecDType::F32
+    body.push_back(2); // rank
+    const uint64_t dims[2] = {uint64_t(1) << 62, 4};
+    putBytes(body, dims, sizeof(dims));
+    const uint64_t payload = 0;
+    putBytes(body, &payload, 8);
+
+    // Header: magic and version from a real file, then count and
+    // the recomputed FNV-1a checksum of the record region.
+    std::vector<uint8_t> file(whole.begin(), whole.begin() + 12);
+    const uint64_t count = 1;
+    putBytes(file, &count, 8);
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t b : body) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    putBytes(file, &h, 8);
+    file.insert(file.end(), body.begin(), body.end());
+    const std::string crafted = tmpPath("wrap_crafted.bin");
+    writeAll(crafted, file);
+
+    CheckpointLoadResult out;
+    LoadResult res = tryLoadCheckpoint(crafted, *model, out);
+    EXPECT_EQ(res.status, LoadStatus::Corrupt) << res.message;
+    for (const std::string& p : {ckpt, crafted})
         std::remove(p.c_str());
 }
 

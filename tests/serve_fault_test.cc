@@ -470,5 +470,41 @@ TEST(ServeFault, ReloadSwapsUnderPlannedSharedModelMode)
     std::remove(artifactB.c_str());
 }
 
+// The same swap with a 3-thread team whatever OMP_NUM_THREADS says:
+// the conv prefix runs on item lanes, whose one-item scratch restage()
+// must refresh too. Multi-item requests spread over the lanes.
+TEST(ServeFault, ReloadSwapsUnderPlannedLanes)
+{
+    Tensor x = cnnData();
+    const std::string artifactB =
+        writeArtifact("reload_lanes_b.bin", 97, x);
+    auto modelB = intResNet(97, x);
+    auto serving = intResNet(82, x);
+    std::vector<Tensor> reqs, refsA, refsB;
+    for (size_t k : {1, 5, 8}) {
+        reqs.push_back(sliceAxis0(x, 0, k));
+        refsA.push_back(serving->forward(reqs.back(), false));
+        refsB.push_back(modelB->forward(reqs.back(), false));
+    }
+
+    ServeOptions opt;
+    opt.deadlineUs = 0;
+    opt.ompThreads = 3;
+    BatchServer server(*serving, size_t(2), cnnTraits(), opt);
+    for (size_t i = 0; i < reqs.size(); ++i)
+        expectBitEqual(server.submit(Tensor(reqs[i])).future.get(),
+                       refsA[i]);
+
+    LoadResult ok = server.reloadArtifact(artifactB);
+    EXPECT_TRUE(ok.ok()) << ok.message;
+    for (int round = 0; round < 2; ++round)
+        for (size_t i = 0; i < reqs.size(); ++i)
+            expectBitEqual(server.submit(Tensor(reqs[i])).future.get(),
+                           refsB[i]);
+
+    server.stop(true);
+    std::remove(artifactB.c_str());
+}
+
 } // namespace
 } // namespace mixq

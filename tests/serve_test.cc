@@ -32,6 +32,7 @@
 #include "nn/rnn_models.hh"
 #include "nn/trainer.hh"
 #include "serve/bn_fold.hh"
+#include "serve/executor.hh"
 #include "serve/server.hh"
 #include "util/rng.hh"
 
@@ -189,6 +190,46 @@ TEST(ServeBatching, MiniResNetRequestInvariantToCoalescing)
             checkCompositions(*model, traits, x, threads, kComps,
                               planned);
     }
+}
+
+// The CNN plans run their conv prefix on item lanes when the team
+// has more than one thread: {1, 1} and {2, 3} give fewer items than
+// a team of 4 or 8, and 5 and 7 items do not divide over 4 lanes.
+const std::vector<std::vector<size_t>> kLaneComps = {
+    {1, 1}, {2, 3}, {3, 1, 2, 1}, {1, 1, 1, 1, 1, 1, 1, 1}};
+
+/** Planned coalescing invariance of a CNN built by @p make. */
+template <typename Make>
+void
+checkPlannedCnn(Make make)
+{
+    Rng dataRng(87);
+    Tensor x = Tensor::randn({8, 3, 12, 12}, dataRng, 1.0);
+    for (float& v : x.span())
+        v = v < 0.0f ? -v : v;
+
+    for (int threads : threadCounts()) {
+#ifdef _OPENMP
+        omp_set_num_threads(threads);
+#endif
+        Rng rng(88);
+        auto model = make(rng);
+        toIntBackend(*model, x);
+        checkCompositions(*model, BatchTraits{{1, 3, 12, 12}, 0, false},
+                          x, threads, kLaneComps, /*planned=*/true);
+    }
+}
+
+TEST(ServeBatching, MiniMobileNetPlannedInvariantToCoalescing)
+{
+    // DwConv2d, ReLU6 and InvertedResidual shortcuts on the lanes.
+    checkPlannedCnn([](Rng& rng) { return makeMiniMobileNet(4, rng); });
+}
+
+TEST(ServeBatching, TinyConvNetPlannedInvariantToCoalescing)
+{
+    // MaxPool2d and biased convolutions on the lanes.
+    checkPlannedCnn([](Rng& rng) { return makeTinyConvNet(4, rng); });
 }
 
 TEST(ServeBatching, LstmLmRequestInvariantToCoalescing)
@@ -578,6 +619,67 @@ TEST(ServePlanned, TwoReplicasOverOneModelServeConcurrently)
     BatchServer::Stats st = server.stats();
     EXPECT_EQ(st.requests, reqs.size());
     EXPECT_EQ(st.arenaOverflows, 0u);
+}
+
+/** bench_serve --memory-report's weight-heavy MLP, Int backend. */
+std::unique_ptr<Sequential>
+weightHeavyMlp(const Tensor& calib)
+{
+    Rng rng(101);
+    auto model = std::make_unique<Sequential>();
+    model->add(std::make_unique<Flatten>());
+    model->add(std::make_unique<Linear>(432, 2048, rng));
+    model->add(std::make_unique<ReLU>());
+    model->add(std::make_unique<Linear>(2048, 2048, rng));
+    model->add(std::make_unique<ReLU>());
+    model->add(std::make_unique<Linear>(2048, 10, rng));
+    toIntBackend(*model, calib);
+    return model;
+}
+
+TEST(ServePlanned, OnlyConvPrefixesRunOnLanes)
+{
+    Rng dataRng(102);
+    Tensor x = Tensor::randn({4, 3, 12, 12}, dataRng, 1.0);
+    for (float& v : x.span())
+        v = v < 0.0f ? -v : v;
+    const std::vector<size_t> item = {1, 3, 12, 12};
+
+    // Linear from the first step: nothing item-local to split off.
+    auto mlp = weightHeavyMlp(x);
+    PlanExecutor mlp1(*mlp, item, 0, 16, 1), mlp3(*mlp, item, 0, 16, 3);
+    EXPECT_EQ(mlp3.lanes(), 0u);
+    EXPECT_EQ(mlp3.scratchBytes(), mlp1.scratchBytes());
+
+    // Time-major: the batch axis is 1, so the plan stays batched.
+    size_t t = 6;
+    Tensor ids({t, 4});
+    Rng rngLm(103);
+    LstmLm lm(20, 10, 16, 2, rngLm);
+    toIntBackend(lm, ids);
+    PlanExecutor lm1(lm, {t, 1}, 1, 16, 1), lm3(lm, {t, 1}, 1, 16, 3);
+    EXPECT_EQ(lm3.lanes(), 0u);
+    EXPECT_EQ(lm3.scratchBytes(), lm1.scratchBytes());
+
+    // MiniResNet: three one-item lanes cost less than the batched
+    // walk's max-batch scratch, and give the same bits.
+    Rng rng(104);
+    auto cnn = makeMiniResNet(4, rng);
+    toIntBackend(*cnn, x);
+    PlanExecutor cnn1(*cnn, item, 0, 16, 1), cnn3(*cnn, item, 0, 16, 3);
+    EXPECT_EQ(cnn1.lanes(), 0u);
+    EXPECT_EQ(cnn3.lanes(), 3u);
+    EXPECT_LT(cnn3.scratchBytes(), cnn1.scratchBytes());
+    for (size_t n : {1, 4}) {
+        std::copy_n(x.data(), n * 3 * 12 * 12, cnn1.inputData());
+        std::copy_n(x.data(), n * 3 * 12 * 12, cnn3.inputData());
+        cnn1.run(n);
+        cnn3.run(n);
+        size_t len = shapeSize(cnn1.outputShape(n));
+        for (size_t i = 0; i < len; ++i)
+            ASSERT_EQ(cnn3.outputData()[i], cnn1.outputData()[i])
+                << "items " << n << ", index " << i;
+    }
 }
 
 } // namespace
