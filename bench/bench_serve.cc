@@ -13,13 +13,9 @@
  * google-benchmark CLI/JSON protocol for tools/check_perf_budget.py
  * to drive it like the bench_micro_* binaries — runs the requested
  * repetitions of "serve/single" (closed loop, one request in flight,
- * maxBatch 1), "serve/batched" (saturated queue, maxBatch 16,
- * per-batch scoped-arena allocation) and "serve/planned" (same
- * saturated workload through the shared-model plan-executing ctor:
- * statically placed slab, zero steady-state allocation) and emits
- * median items_per_second aggregates. Two gated ratios: coalescing
- * must beat one-at-a-time dispatch, and plan execution must beat the
- * scoped-arena batch path it replaces.
+ * maxBatch 1) and "serve/batched" (saturated queue, maxBatch 16) and
+ * emits median items_per_second aggregates. The gated ratio:
+ * coalescing must beat one-at-a-time dispatch.
  *
  * Memory-report mode (--memory-report): builds a deliberately
  * weight-heavy model (three Linears, ~20 MB of float weights),
@@ -123,7 +119,7 @@ runSingle(Module& model, const std::vector<Tensor>& items)
     ServeOptions opt;
     opt.maxBatch = 1;
     opt.deadlineUs = 0;
-    BatchServer srv({&model}, cnnTraits(), opt);
+    BatchServer srv(model, /*replicas=*/1, cnnTraits(), opt);
     for (size_t i = 0; i < 8; ++i) // warm the request path
         srv.submit(items[i % items.size()]).future.get();
     Clock::time_point t0 = Clock::now();
@@ -159,29 +155,11 @@ pumpSaturated(BatchServer& srv, const std::vector<Tensor>& items,
 }
 
 /**
- * Saturated queue through the legacy coalescing path (per-batch
- * Tensors placed in a scoped arena). Returns served items/s.
+ * Saturated queue: every request submitted up front, the worker
+ * coalesces maxBatch-item batches. Returns served items/s.
  */
 double
 runBatched(Module& model, const std::vector<Tensor>& items,
-           size_t maxBatch)
-{
-    ServeOptions opt;
-    opt.maxBatch = maxBatch;
-    opt.deadlineUs = 500;
-    BatchServer srv({&model}, cnnTraits(), opt);
-    double rate = pumpSaturated(srv, items, maxBatch);
-    srv.stop(true);
-    return rate;
-}
-
-/**
- * The same saturated workload through the plan-executing shared-model
- * ctor: activations land at planner offsets in one pre-faulted slab,
- * steady-state batches allocate nothing. Returns served items/s.
- */
-double
-runPlanned(Module& model, const std::vector<Tensor>& items,
            size_t maxBatch)
 {
     ServeOptions opt;
@@ -213,16 +191,9 @@ runBatchedBench(Module& m, const std::vector<Tensor>& items)
     return runBatched(m, items, 16);
 }
 
-double
-runPlannedBench(Module& m, const std::vector<Tensor>& items)
-{
-    return runPlanned(m, items, 16);
-}
-
 constexpr BenchDef kBenches[] = {
     {"serve/single", runSingleBench},
     {"serve/batched", runBatchedBench},
-    {"serve/planned", runPlannedBench},
 };
 
 int
@@ -354,7 +325,7 @@ runMemoryReport()
                 "  \"rss_after_first_kb\": %zu,\n"
                 "  \"rss_after_second_kb\": %zu\n"
                 "}\n",
-                modelBytes, st.planPeakBytes, st.arenaCapacity,
+                modelBytes, st.planPeakBytes, st.slabBytes,
                 st.scratchBytes, rssModelKb, rssFirstKb, rssSecondKb);
     second->stop(true);
     first->stop(true);
@@ -391,7 +362,7 @@ runOverloadReport(double seconds)
     opt.deadlineUs = 500;
     opt.maxQueueItems = kMaxQueueItems;
     opt.overload = OverloadPolicy::Shed;
-    BatchServer srv({model.get()}, cnnTraits(), opt);
+    BatchServer srv(*model, /*replicas=*/1, cnnTraits(), opt);
     for (size_t i = 0; i < 32; ++i) // warm the request path
         srv.submit(items[i % items.size()]).future.get();
 
@@ -455,7 +426,7 @@ runOpenLoop(double rate, double seconds, size_t maxBatch,
     ServeOptions opt;
     opt.maxBatch = maxBatch;
     opt.deadlineUs = deadlineUs;
-    BatchServer srv({model.get()}, cnnTraits(), opt);
+    BatchServer srv(*model, /*replicas=*/1, cnnTraits(), opt);
     for (size_t i = 0; i < 2 * maxBatch; ++i)
         srv.submit(pool[i % pool.size()]).future.get();
 
@@ -544,10 +515,8 @@ runOpenLoop(double rate, double seconds, size_t maxBatch,
                 double(latencyUs.size()) / elapsed);
     std::printf("latency p50 %.0f us, p99 %.0f us\n", pct(0.50),
                 pct(0.99));
-    std::printf("arena: capacity %zu B, high water %zu B, "
-                "overflows %zu\n",
-                st.arenaCapacity, st.arenaHighWater,
-                st.arenaOverflows);
+    std::printf("slab %zu B (plan peak %zu B), scratch %zu B\n",
+                st.slabBytes, st.planPeakBytes, st.scratchBytes);
     return 0;
 }
 

@@ -365,13 +365,29 @@ qgemmRow16(const PackedQMat& w, size_t r, const int16_t* actsT,
                           accRow + q0);
 }
 
+namespace {
+
+/**
+ * Work below which the row-parallel qgemm / rescaleLinear regions run
+ * serially: forking the team costs microseconds, more than the whole
+ * product of a small layer (MiniResNet's 16->4 head is 64 MACs per
+ * item). The regions split disjoint output rows / columns, so the
+ * choice never changes a bit.
+ */
+constexpr size_t kQgemmParallelMacs = size_t(1) << 15;
+constexpr size_t kRescaleParallelElems = size_t(1) << 13;
+
+} // namespace
+
 void
 qgemm(const PackedQMat& w, const int32_t* actsT, size_t p,
       int32_t* acc)
 {
     MIXQ_ASSERT(w.packed(), "qgemm: weight matrix not packed");
     long rows = long(w.rows());
-    #pragma omp parallel for schedule(static) if (!inOmpParallel())
+    bool fork = w.rows() * w.cols() * p >= kQgemmParallelMacs;
+    #pragma omp parallel for schedule(static) \
+        if (fork && !inOmpParallel())
     for (long r = 0; r < rows; ++r)
         qgemmRow(w, size_t(r), actsT, p, acc + size_t(r) * p);
 }
@@ -382,18 +398,11 @@ qgemm16(const PackedQMat& w, const int16_t* actsT, size_t p,
 {
     MIXQ_ASSERT(w.packed(), "qgemm16: weight matrix not packed");
     long rows = long(w.rows());
-    #pragma omp parallel for schedule(static) if (!inOmpParallel())
+    bool fork = w.rows() * w.cols() * p >= kQgemmParallelMacs;
+    #pragma omp parallel for schedule(static) \
+        if (fork && !inOmpParallel())
     for (long r = 0; r < rows; ++r)
         qgemmRow16(w, size_t(r), actsT, p, acc + size_t(r) * p);
-}
-
-void
-rescaleLinear(const PackedQMat& w, const int32_t* acc, size_t p,
-              float actInvScale, const float* bias, float* y)
-{
-    size_t rows = w.rows();
-    std::vector<double> f(rows);
-    rescaleLinear(w, acc, p, actInvScale, bias, y, f.data());
 }
 
 void
@@ -405,7 +414,8 @@ rescaleLinear(const PackedQMat& w, const int32_t* acc, size_t p,
     double* f = fScratch;
     for (size_t r = 0; r < rows; ++r)
         f[r] = w.rowDequant(r) * double(actInvScale);
-    #pragma omp parallel for schedule(static) if (!inOmpParallel())
+    #pragma omp parallel for schedule(static) \
+        if (rows * p >= kRescaleParallelElems && !inOmpParallel())
     for (long q = 0; q < long(p); ++q) {
         float* yq = y + size_t(q) * rows;
         for (size_t r = 0; r < rows; ++r) {

@@ -118,8 +118,9 @@ void im2colInt(const int16_t* img, size_t c, size_t h, size_t w,
  * dimension, int32 accumulators, [rows x P] row-major. SP2 rows use
  * the shift-add path (accumulators are in the codec's 2^K1-scaled
  * units), Fixed rows the MAC path. Parallelizes over output rows
- * unless already inside an OpenMP region; row results are
- * independent, so the split never changes a bit.
+ * unless already inside an OpenMP region or the product is too small
+ * to pay for the fork; row results are independent, so the split
+ * never changes a bit.
  */
 void qgemm(const PackedQMat& w, const int32_t* actsT, size_t p,
            int32_t* acc);
@@ -146,16 +147,9 @@ void qgemmRow16(const PackedQMat& w, size_t r, const int16_t* actsT,
  * y [P x rows]: y[q][r] = float(acc[r][q] * rowDequant(r) *
  * actInvScale) + bias[r] (bias optional). The per-row factor is
  * carried in double so the only float roundings are the ones the
- * fake-quant float path also pays at its output.
- */
-void rescaleLinear(const PackedQMat& w, const int32_t* acc, size_t p,
-                   float actInvScale, const float* bias, float* y);
-
-/**
- * Allocation-free rescaleLinear: @p fScratch must hold w.rows()
- * doubles (the per-row dequant factors are staged there instead of a
- * per-call vector). Bit-identical to the allocating overload — the
- * serving executor's steady-state path.
+ * fake-quant float path also pays at its output. @p fScratch must
+ * hold w.rows() doubles (the factors are staged there, so the call
+ * allocates nothing).
  */
 void rescaleLinear(const PackedQMat& w, const int32_t* acc, size_t p,
                    float actInvScale, const float* bias, float* y,

@@ -47,7 +47,7 @@
  * loadFromCodes() — the deploy-artifact path (serial/deploy.hh),
  * where no float weights exist in the process. Such a pack is
  * *locked*: ensure() only validates the shape and never re-reads the
- * (absent) float source, so the layers' intForward runs unchanged on
+ * (absent) float source, so the layers' int forwards run unchanged on
  * top of it.
  */
 

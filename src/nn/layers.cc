@@ -139,9 +139,13 @@ Tensor
 Linear::forward(const Tensor& x, bool train)
 {
     MIXQ_ASSERT(x.ndim() == 2 && x.dim(1) == in_, "Linear shape");
-    if (intBackend_ && !train)
-        return intForward(x);
     size_t n = x.dim(0);
+    if (intBackend_ && !train) {
+        prepareServe(evalScratch_, n);
+        Tensor y({n, out_});
+        forwardServe(viewOf(x), viewOf(y), evalScratch_);
+        return y;
+    }
     xq_ = x;
     if (train)
         xPre_ = x;
@@ -180,31 +184,6 @@ Linear::adoptDeployedWeights(PackedQMat pack, int wbits)
     qpack_ = std::move(pack);
     qBits_ = wbits;
     intBackend_ = true;
-}
-
-Tensor
-Linear::intForward(const Tensor& x)
-{
-    size_t n = x.dim(0);
-    // Pack once per weight version (PackedMat plan discipline); the
-    // panels then serve every eval batch unchanged.
-    qpack_.ensure(w_.w.data(), out_, in_, w_.version, qProj_.rowScheme,
-                  qProj_.rowAlpha, qBits_);
-    ActQuantParams ap = actQuantParams(actq_);
-    qAcc_.resize(out_ * n);
-    if (halfwordSafe(ap, in_)) {
-        qT16_.resize(in_ * n);
-        quantizeTransposeActs(x.data(), n, in_, ap, qT16_.data());
-        qgemm16(qpack_, qT16_.data(), n, qAcc_.data());
-    } else {
-        qT32_.resize(in_ * n);
-        quantizeTransposeActs(x.data(), n, in_, ap, qT32_.data());
-        qgemm(qpack_, qT32_.data(), n, qAcc_.data());
-    }
-    Tensor y({n, out_});
-    rescaleLinear(qpack_, qAcc_.data(), n, ap.invScale,
-                  hasBias_ ? b_.w.data() : nullptr, y.data());
-    return y;
 }
 
 void
@@ -343,12 +322,16 @@ Tensor
 Conv2d::forward(const Tensor& x, bool train)
 {
     MIXQ_ASSERT(x.ndim() == 4 && x.dim(1) == inCh_, "Conv2d shape");
-    if (intBackend_ && !train)
-        return intForward(x);
-    inShape_ = x.shape();
     size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
     size_t oh = convOut(h, k_, stride_, pad_);
     size_t ow = convOut(w, k_, stride_, pad_);
+    if (intBackend_ && !train) {
+        prepareServe(evalScratch_, x.shape());
+        Tensor y({n, outCh_, oh, ow});
+        forwardServe(viewOf(x), viewOf(y), evalScratch_);
+        return y;
+    }
+    inShape_ = x.shape();
     size_t ckk = inCh_ * k_ * k_;
     size_t ohow = oh * ow;
 
@@ -440,75 +423,6 @@ Conv2d::applyBnEpilogue(float* y, size_t ohow) const
     }
 }
 
-Tensor
-Conv2d::intForward(const Tensor& x)
-{
-    size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-    size_t oh = convOut(h, k_, stride_, pad_);
-    size_t ow = convOut(w, k_, stride_, pad_);
-    size_t ckk = inCh_ * k_ * k_;
-    size_t ohow = oh * ow;
-    size_t chw = inCh_ * h * w;
-
-    qpack_.ensure(w_.w.data(), outCh_, ckk, w_.version,
-                  qProj_.rowScheme, qProj_.rowAlpha, qBits_);
-    ActQuantParams ap = actQuantParams(actq_);
-
-    Tensor y({n, outCh_, oh, ow});
-    // Quantize the whole batch to integer codes once; im2col then
-    // gathers codes, so padding zeros stay exact code zeros. Codes
-    // ride the halfword pipeline whenever the reduction depth admits
-    // it (halfwordSafe) — bit-identical accumulators, half the
-    // traffic. The code, im2col and accumulator buffers are
-    // persistent members (cols_-style) sliced per batch item: the
-    // weight panels already key on shape + Param::version via
-    // qpack_.ensure, and these buffers key on the same shape, so a
-    // steady-state eval loop re-fills storage allocated once instead
-    // of re-allocating per call. Item-parallel over disjoint slices:
-    // every output element is a pure function of its own image, so
-    // the split never changes a bit. qgemm detects the enclosing
-    // region and stays serial.
-    qAccI_.resize(n * outCh_ * ohow);
-    if (halfwordSafe(ap, ckk)) {
-        qIn16_.resize(n * chw);
-        qCols16_.resize(n * ckk * ohow);
-        quantizeActsInt(x.data(), qIn16_.data(), n * chw, ap);
-        #pragma omp parallel for schedule(static)
-        for (long i = 0; i < long(n); ++i) {
-            int16_t* colsI = qCols16_.data() + size_t(i) * ckk * ohow;
-            int32_t* acc = qAccI_.data() + size_t(i) * outCh_ * ohow;
-            im2colInt(qIn16_.data() + size_t(i) * chw, inCh_, h, w,
-                      k_, k_, stride_, pad_, colsI);
-            qgemm16(qpack_, colsI, ohow, acc);
-            rescaleConv(qpack_, acc, ohow, ap.invScale,
-                        hasBias_ ? b_.w.data() : nullptr,
-                        y.data() + size_t(i) * outCh_ * ohow);
-            if (bnFold_)
-                applyBnEpilogue(y.data() + size_t(i) * outCh_ * ohow,
-                                ohow);
-        }
-        return y;
-    }
-    qIn32_.resize(n * chw);
-    qCols32_.resize(n * ckk * ohow);
-    quantizeActsInt(x.data(), qIn32_.data(), n * chw, ap);
-    #pragma omp parallel for schedule(static)
-    for (long i = 0; i < long(n); ++i) {
-        int32_t* colsI = qCols32_.data() + size_t(i) * ckk * ohow;
-        int32_t* acc = qAccI_.data() + size_t(i) * outCh_ * ohow;
-        im2colInt(qIn32_.data() + size_t(i) * chw, inCh_, h, w, k_,
-                  k_, stride_, pad_, colsI);
-        qgemm(qpack_, colsI, ohow, acc);
-        rescaleConv(qpack_, acc, ohow, ap.invScale,
-                    hasBias_ ? b_.w.data() : nullptr,
-                    y.data() + size_t(i) * outCh_ * ohow);
-        if (bnFold_)
-            applyBnEpilogue(y.data() + size_t(i) * outCh_ * ohow,
-                            ohow);
-    }
-    return y;
-}
-
 void
 Conv2d::prepareServe(ConvServeScratch& s,
                      const std::vector<size_t>& inShape)
@@ -557,6 +471,12 @@ Conv2d::forwardServe(const TensorView& x, const TensorView& y,
     MIXQ_ASSERT(y.size() == n * outCh_ * ohow,
                 "Conv2d: serve out shape");
     if (intBackend_) {
+        // Quantize the whole batch to integer codes once; im2col then
+        // gathers codes, so padding zeros stay exact code zeros. Codes
+        // ride the halfword pipeline whenever the reduction depth
+        // admits it (halfwordSafe): bit-identical accumulators, half
+        // the traffic. Item-parallel over disjoint slices; qgemm sees
+        // the enclosing region and stays serial.
         ActQuantParams ap = actQuantParams(actq_);
         if (halfwordSafe(ap, ckk)) {
             quantizeActsInt(x.data, s.qIn16.data(), n * chw, ap);
@@ -723,12 +643,16 @@ Tensor
 DwConv2d::forward(const Tensor& x, bool train)
 {
     MIXQ_ASSERT(x.ndim() == 4 && x.dim(1) == ch_, "DwConv2d shape");
-    if (intBackend_ && !train)
-        return intForward(x);
-    inShape_ = x.shape();
     size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
     size_t oh = convOut(h, k_, stride_, pad_);
     size_t ow = convOut(w, k_, stride_, pad_);
+    if (intBackend_ && !train) {
+        prepareServe(evalScratch_, x.shape());
+        Tensor y({n, ch_, oh, ow});
+        forwardServe(viewOf(x), viewOf(y), evalScratch_);
+        return y;
+    }
+    inShape_ = x.shape();
 
     xq_ = x;
     if (train)
@@ -788,73 +712,6 @@ DwConv2d::adoptDeployedWeights(PackedQMat pack, int wbits)
     intBackend_ = true;
 }
 
-Tensor
-DwConv2d::intForward(const Tensor& x)
-{
-    size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-    size_t oh = convOut(h, k_, stride_, pad_);
-    size_t ow = convOut(w, k_, stride_, pad_);
-    size_t kk = k_ * k_;
-    size_t ohow = oh * ow;
-    size_t chw = ch_ * h * w;
-
-    // One [C, kh*kw] pack: each channel's kernel is one code row, so
-    // the depthwise product reuses the row microkernel over a
-    // single-channel im2col — the same shift-add datapath as Conv2d,
-    // one row at a time.
-    qpack_.ensure(w_.w.data(), ch_, kk, w_.version, qProj_.rowScheme,
-                  qProj_.rowAlpha, qBits_);
-    ActQuantParams ap = actQuantParams(actq_);
-
-    Tensor y({n, ch_, oh, ow});
-    // Whole-batch quantize once; per-image columns and one
-    // accumulator row are persistent members (cols_-style) sliced per
-    // batch item. Item-parallel over disjoint outputs — every output
-    // element is a pure function of its own image and channel, so the
-    // split never changes a bit.
-    qAccI_.resize(n * ohow);
-    if (halfwordSafe(ap, kk)) {
-        qIn16_.resize(n * chw);
-        qCols16_.resize(n * kk * ohow);
-        quantizeActsInt(x.data(), qIn16_.data(), n * chw, ap);
-        #pragma omp parallel for schedule(static)
-        for (long i = 0; i < long(n); ++i) {
-            int16_t* cols = qCols16_.data() + size_t(i) * kk * ohow;
-            int32_t* acc = qAccI_.data() + size_t(i) * ohow;
-            for (size_t c = 0; c < ch_; ++c) {
-                im2colInt(qIn16_.data() + (size_t(i) * ch_ + c) * h * w,
-                          1, h, w, k_, k_, stride_, pad_, cols);
-                qgemmRow16(qpack_, c, cols, ohow, acc);
-                double f = qpack_.rowDequant(c) * double(ap.invScale);
-                float* out = y.data() + (size_t(i) * ch_ + c) * ohow;
-                #pragma omp simd
-                for (size_t q = 0; q < ohow; ++q)
-                    out[q] = float(double(acc[q]) * f);
-            }
-        }
-        return y;
-    }
-    qIn32_.resize(n * chw);
-    qCols32_.resize(n * kk * ohow);
-    quantizeActsInt(x.data(), qIn32_.data(), n * chw, ap);
-    #pragma omp parallel for schedule(static)
-    for (long i = 0; i < long(n); ++i) {
-        int32_t* cols = qCols32_.data() + size_t(i) * kk * ohow;
-        int32_t* acc = qAccI_.data() + size_t(i) * ohow;
-        for (size_t c = 0; c < ch_; ++c) {
-            im2colInt(qIn32_.data() + (size_t(i) * ch_ + c) * h * w,
-                      1, h, w, k_, k_, stride_, pad_, cols);
-            qgemmRow(qpack_, c, cols, ohow, acc);
-            double f = qpack_.rowDequant(c) * double(ap.invScale);
-            float* out = y.data() + (size_t(i) * ch_ + c) * ohow;
-            #pragma omp simd
-            for (size_t q = 0; q < ohow; ++q)
-                out[q] = float(double(acc[q]) * f);
-        }
-    }
-    return y;
-}
-
 void
 DwConv2d::prepareServe(ConvServeScratch& s,
                        const std::vector<size_t>& inShape)
@@ -900,6 +757,10 @@ DwConv2d::forwardServe(const TensorView& x, const TensorView& y,
     MIXQ_ASSERT(y.size() == n * ch_ * ohow,
                 "DwConv2d: serve out shape");
     if (intBackend_) {
+        // Each channel's kernel is one code row of the [C, kh*kw]
+        // pack, so the depthwise product reuses the row microkernel
+        // over a single-channel im2col — Conv2d's shift-add datapath
+        // one row at a time.
         ActQuantParams ap = actQuantParams(actq_);
         if (halfwordSafe(ap, kk)) {
             quantizeActsInt(x.data, s.qIn16.data(), n * chw, ap);

@@ -38,7 +38,9 @@ class Rng;
 // forwardServe() (const), so n replicas share one model — packed
 // weight panels, folded BN, float weights — and own only their
 // scratch. Each struct's bytes() prices that per-replica state for
-// the serving memory report.
+// the serving memory report. forwardServe is also the one int eval
+// path: an int-backend forward(x, false) prepares a member scratch
+// for x's shape, allocates the output and calls forwardServe.
 // ------------------------------------------------------------------
 
 /** Scratch of Linear::forwardServe (both float and int backends). */
@@ -111,9 +113,10 @@ class Linear : public Module
     /**
      * Route eval-time forwards onto the integer shift-add backend:
      * pack the (already hard-projected) weights per @p proj and run
-     * quantize -> int accumulate -> rescale instead of the float
-     * GEMM. Training forwards are unaffected. The activation
-     * quantizer must be enabled and calibrated by the first int call.
+     * quantize -> int accumulate -> rescale (forwardServe) instead
+     * of the float GEMM. Training forwards are unaffected. The
+     * activation quantizer must be enabled and calibrated by the
+     * first int call.
      */
     void enableIntInference(const MatrixQuantResult& proj, int wbits);
     void disableIntInference() { intBackend_ = false; }
@@ -148,8 +151,6 @@ class Linear : public Module
                       LinearServeScratch& s) const;
 
   private:
-    Tensor intForward(const Tensor& x);
-
     size_t in_, out_;
     Param w_;
     Param b_;
@@ -163,9 +164,7 @@ class Linear : public Module
     int qBits_ = 0;
     MatrixQuantResult qProj_; //!< row schemes/alphas of the projection
     PackedQMat qpack_;        //!< int backend weight panels
-    std::vector<int16_t> qT16_; //!< transposed act codes (halfword)
-    std::vector<int32_t> qT32_; //!< transposed act codes (fallback)
-    std::vector<int32_t> qAcc_; //!< int accumulators scratch
+    LinearServeScratch evalScratch_; //!< int eval forward's scratch
 };
 
 /** 2-D convolution via im2col; weight is [Cout, Cin*kh*kw]. */
@@ -225,7 +224,6 @@ class Conv2d : public Module
                       ConvServeScratch& s) const;
 
   private:
-    Tensor intForward(const Tensor& x);
     /** Apply the folded BN affine to one [outCh, ohow] image slice. */
     void applyBnEpilogue(float* y, size_t ohow) const;
 
@@ -243,12 +241,7 @@ class Conv2d : public Module
     int qBits_ = 0;
     MatrixQuantResult qProj_;
     PackedQMat qpack_;
-    // Persistent scratch of the int path (cols_-style allocation
-    // cache): whole-batch code, im2col and accumulator buffers,
-    // resized on shape change only — steady-state eval batches rerun
-    // the content (activations change per call) without heap churn.
-    std::vector<int16_t> qIn16_, qCols16_;
-    std::vector<int32_t> qIn32_, qCols32_, qAccI_;
+    ConvServeScratch evalScratch_; //!< int eval forward's scratch
     std::vector<float> bnM_, bnIs_, bnG_, bnB_; //!< folded BN affine
     bool bnFold_ = false;
 };
@@ -298,8 +291,6 @@ class DwConv2d : public Module
                       ConvServeScratch& s) const;
 
   private:
-    Tensor intForward(const Tensor& x);
-
     size_t ch_, k_, stride_, pad_;
     Param w_;
     ActFakeQuant actq_;
@@ -310,10 +301,7 @@ class DwConv2d : public Module
     int qBits_ = 0;
     MatrixQuantResult qProj_;
     PackedQMat qpack_;
-    // Persistent int-path scratch (see Conv2d): whole-batch codes,
-    // per-image single-channel columns and one accumulator row.
-    std::vector<int16_t> qIn16_, qCols16_;
-    std::vector<int32_t> qIn32_, qCols32_, qAccI_;
+    ConvServeScratch evalScratch_; //!< int eval forward's scratch
 };
 
 /** Batch normalization over NCHW channels with running statistics. */

@@ -58,6 +58,51 @@ chunkedForward(const std::vector<size_t>& bounds, SliceFn&& slice)
 }
 
 /**
+ * Stage the int-backend serve scratch shared by Lstm and Gru for
+ * batches of up to @p maxN sequences: the per-gate-row rescale
+ * factors of panels @p wxQ / @p whQ, the chunk bounds of every batch
+ * size, and one Slot per chunk, sized for the widest chunk. Chunk
+ * bounds are a pure function of n; tabulating every batch size keeps
+ * the live path free of even the bounds vector's allocation. @p cell
+ * sizes the LSTM's cell-state buffer.
+ */
+void
+stageRnnServe(RnnServeScratch& s, size_t maxN, size_t in, size_t hidden,
+              const PackedQMat& wxQ, const PackedQMat& whQ,
+              const ActQuantParams& px, const ActQuantParams& ph,
+              bool cell)
+{
+    size_t rows = wxQ.rows();
+    s.fx.resize(rows);
+    s.fh.resize(rows);
+    for (size_t r = 0; r < rows; ++r) {
+        s.fx[r] = wxQ.rowDequant(r) * double(px.invScale);
+        s.fh[r] = whQ.rowDequant(r) * double(ph.invScale);
+    }
+    s.boundsByN.assign(maxN + 1, {});
+    size_t width = 0;
+    for (size_t nn = 1; nn <= maxN; ++nn) {
+        const std::vector<size_t>& b = s.boundsByN[nn] =
+            rnnBatchChunks(nn);
+        for (size_t ci = 0; ci + 1 < b.size(); ++ci)
+            width = std::max(width, b[ci + 1] - b[ci]);
+    }
+    // The chunk count never falls as n grows, so the maximum batch
+    // uses the most slots; live batches index with their actual nb.
+    s.slots.resize(s.boundsByN[maxN].size() - 1);
+    for (auto& sl : s.slots) {
+        sl.qx.resize(width * in);
+        sl.qxT.resize(in * width);
+        sl.qh.resize(width * hidden);
+        sl.qhT.resize(hidden * width);
+        sl.accX.resize(rows * width);
+        sl.accH.resize(rows * width);
+        sl.hprev.resize(width * hidden);
+        sl.cprev.resize(cell ? width * hidden : 0);
+    }
+}
+
+/**
  * Gather a batch slice [b0, b0 + nb) of every timestep of a
  * [T, N, width] tensor into a contiguous [T*nb, width] buffer — the
  * layout the batched weight-gradient GEMMs consume.
@@ -240,8 +285,12 @@ Tensor
 Lstm::forward(const Tensor& x, bool train)
 {
     MIXQ_ASSERT(x.ndim() == 3 && x.dim(2) == i_, "Lstm input shape");
-    if (intBackend_ && !train)
-        return intForward(x);
+    if (intBackend_ && !train) {
+        prepareServe(evalScratch_, x.dim(1));
+        Tensor y({x.dim(0), x.dim(1), h_});
+        forwardServe(viewOf(x), viewOf(y), evalScratch_);
+        return y;
+    }
     t_ = x.dim(0);
     n_ = x.dim(1);
     size_t t = t_, n = n_;
@@ -377,75 +426,6 @@ Lstm::adoptDeployedWeights(PackedQMat wx, PackedQMat wh, int wbits)
     intBackend_ = true;
 }
 
-Tensor
-Lstm::intForward(const Tensor& x)
-{
-    size_t t = x.dim(0), n = x.dim(1);
-    size_t rows = 4 * h_;
-    wxQ_.ensure(wx_.w.data(), rows, i_, wx_.version,
-                qProjWx_.rowScheme, qProjWx_.rowAlpha, qBits_);
-    whQ_.ensure(wh_.w.data(), rows, h_, wh_.version,
-                qProjWh_.rowScheme, qProjWh_.rowAlpha, qBits_);
-    ActQuantParams px = actQuantParams(axq_);
-    ActQuantParams ph = actQuantParams(ahq_);
-    // Per-gate-row rescale factors, carried in double like the
-    // Linear rescale so the only float rounding is at the gate
-    // pre-activation itself.
-    std::vector<double> fx(rows), fh(rows);
-    for (size_t r = 0; r < rows; ++r) {
-        fx[r] = wxQ_.rowDequant(r) * double(px.invScale);
-        fh[r] = whQ_.rowDequant(r) * double(ph.invScale);
-    }
-
-    Tensor hOut({t, n, h_});
-    // Sequences evolve independently, so the batch splits into the
-    // same fixed chunks as training; all state is per-slice, every
-    // output element a pure function of its own sequence — bitwise
-    // identical at any thread count. qgemm goes serial inside the
-    // region.
-    auto slice = [&](size_t b0, size_t b1) {
-        size_t nb = b1 - b0;
-        std::vector<int32_t> qx(nb * i_), qxT(i_ * nb);
-        std::vector<int32_t> qh(nb * h_), qhT(h_ * nb);
-        std::vector<int32_t> accX(rows * nb), accH(rows * nb);
-        std::vector<float> hprev(nb * h_, 0.0f);
-        std::vector<float> cprev(nb * h_, 0.0f);
-        for (size_t s = 0; s < t; ++s) {
-            const float* xs = x.data() + (s * n + b0) * i_;
-            quantizeActsInt(xs, qx.data(), nb * i_, px);
-            transposeInt32(qx.data(), qxT.data(), nb, i_);
-            qgemm(wxQ_, qxT.data(), nb, accX.data());
-            quantizeActsInt(hprev.data(), qh.data(), nb * h_, ph);
-            transposeInt32(qh.data(), qhT.data(), nb, h_);
-            qgemm(whQ_, qhT.data(), nb, accH.data());
-
-            float* ho = hOut.data() + (s * n + b0) * h_;
-            for (size_t b = 0; b < nb; ++b) {
-                for (size_t j = 0; j < h_; ++j) {
-                    auto pre = [&](size_t r) {
-                        return float(
-                            double(accX[r * nb + b]) * fx[r] +
-                            double(accH[r * nb + b]) * fh[r]);
-                    };
-                    float iv = sigmoidf(pre(j) + b_.w[j]);
-                    float fv = sigmoidf(pre(h_ + j) + b_.w[h_ + j]);
-                    float gv = std::tanh(pre(2 * h_ + j) +
-                                         b_.w[2 * h_ + j]);
-                    float ov = sigmoidf(pre(3 * h_ + j) +
-                                        b_.w[3 * h_ + j]);
-                    float cv = fv * cprev[b * h_ + j] + iv * gv;
-                    cprev[b * h_ + j] = cv;
-                    float hv = ov * std::tanh(cv);
-                    hprev[b * h_ + j] = hv;
-                    ho[b * h_ + j] = hv;
-                }
-            }
-        }
-    };
-    chunkedForward(rnnBatchChunks(n), slice);
-    return hOut;
-}
-
 void
 Lstm::prepareServe(RnnServeScratch& s, size_t maxN)
 {
@@ -459,33 +439,8 @@ Lstm::prepareServe(RnnServeScratch& s, size_t maxN)
                 qProjWx_.rowScheme, qProjWx_.rowAlpha, qBits_);
     whQ_.ensure(wh_.w.data(), rows, h_, wh_.version,
                 qProjWh_.rowScheme, qProjWh_.rowAlpha, qBits_);
-    ActQuantParams px = actQuantParams(axq_);
-    ActQuantParams ph = actQuantParams(ahq_);
-    s.fx.resize(rows);
-    s.fh.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-        s.fx[r] = wxQ_.rowDequant(r) * double(px.invScale);
-        s.fh[r] = whQ_.rowDequant(r) * double(ph.invScale);
-    }
-    // Chunk bounds are a pure function of n; tabulating every batch
-    // size up to the maximum keeps the live path free of even the
-    // bounds vector's allocation.
-    s.boundsByN.assign(maxN + 1, {});
-    for (size_t nn = 1; nn <= maxN; ++nn)
-        s.boundsByN[nn] = rnnBatchChunks(nn);
-    // Slots sized for the widest chunk (a chunk never exceeds the
-    // whole batch); live batches index with their actual nb.
-    s.slots.resize(kRnnMaxBatchChunks);
-    for (auto& sl : s.slots) {
-        sl.qx.resize(maxN * i_);
-        sl.qxT.resize(i_ * maxN);
-        sl.qh.resize(maxN * h_);
-        sl.qhT.resize(h_ * maxN);
-        sl.accX.resize(rows * maxN);
-        sl.accH.resize(rows * maxN);
-        sl.hprev.resize(maxN * h_);
-        sl.cprev.resize(maxN * h_);
-    }
+    stageRnnServe(s, maxN, i_, h_, wxQ_, whQ_, actQuantParams(axq_),
+                  actQuantParams(ahq_), /*cell=*/true);
 }
 
 void
@@ -502,10 +457,12 @@ Lstm::forwardServe(const TensorView& x, const TensorView& y,
     ActQuantParams px = actQuantParams(axq_);
     ActQuantParams ph = actQuantParams(ahq_);
 
-    // Same chunked slice as intForward, with every per-slice buffer a
-    // pre-sized Slot of the replica scratch; arithmetic and chunk
-    // partition are identical, so outputs match the eval path bit for
-    // bit at any thread count.
+    // Sequences evolve independently, so the batch splits into the
+    // same fixed chunks as training, each with its own pre-sized Slot;
+    // every output element is a pure function of its own sequence, so
+    // outputs are bit-identical at any thread count. The per-gate-row
+    // rescale factors are carried in double like the Linear rescale,
+    // so the only float rounding is at the gate pre-activation.
     const std::vector<size_t>& bounds = s.boundsByN[n];
     size_t chunks = bounds.size() - 1;
     auto slice = [&](size_t ci, size_t b0, size_t b1) {
@@ -698,8 +655,12 @@ Tensor
 Gru::forward(const Tensor& x, bool train)
 {
     MIXQ_ASSERT(x.ndim() == 3 && x.dim(2) == i_, "Gru input shape");
-    if (intBackend_ && !train)
-        return intForward(x);
+    if (intBackend_ && !train) {
+        prepareServe(evalScratch_, x.dim(1));
+        Tensor y({x.dim(0), x.dim(1), h_});
+        forwardServe(viewOf(x), viewOf(y), evalScratch_);
+        return y;
+    }
     t_ = x.dim(0);
     n_ = x.dim(1);
     size_t t = t_, n = n_;
@@ -819,71 +780,6 @@ Gru::adoptDeployedWeights(PackedQMat wx, PackedQMat wh, int wbits)
     intBackend_ = true;
 }
 
-Tensor
-Gru::intForward(const Tensor& x)
-{
-    size_t t = x.dim(0), n = x.dim(1);
-    size_t rows = 3 * h_;
-    wxQ_.ensure(wx_.w.data(), rows, i_, wx_.version,
-                qProjWx_.rowScheme, qProjWx_.rowAlpha, qBits_);
-    whQ_.ensure(wh_.w.data(), rows, h_, wh_.version,
-                qProjWh_.rowScheme, qProjWh_.rowAlpha, qBits_);
-    ActQuantParams px = actQuantParams(axq_);
-    ActQuantParams ph = actQuantParams(ahq_);
-    std::vector<double> fx(rows), fh(rows);
-    for (size_t r = 0; r < rows; ++r) {
-        fx[r] = wxQ_.rowDequant(r) * double(px.invScale);
-        fh[r] = whQ_.rowDequant(r) * double(ph.invScale);
-    }
-
-    Tensor hOut({t, n, h_});
-    // Same batch-chunk shape as Lstm::intForward; the x and h
-    // contributions stay separate through rescale because the n~
-    // gate couples them through r, not by a plain sum.
-    auto slice = [&](size_t b0, size_t b1) {
-        size_t nb = b1 - b0;
-        std::vector<int32_t> qx(nb * i_), qxT(i_ * nb);
-        std::vector<int32_t> qh(nb * h_), qhT(h_ * nb);
-        std::vector<int32_t> accX(rows * nb), accH(rows * nb);
-        std::vector<float> hprev(nb * h_, 0.0f);
-        for (size_t s = 0; s < t; ++s) {
-            const float* xs = x.data() + (s * n + b0) * i_;
-            quantizeActsInt(xs, qx.data(), nb * i_, px);
-            transposeInt32(qx.data(), qxT.data(), nb, i_);
-            qgemm(wxQ_, qxT.data(), nb, accX.data());
-            quantizeActsInt(hprev.data(), qh.data(), nb * h_, ph);
-            transposeInt32(qh.data(), qhT.data(), nb, h_);
-            qgemm(whQ_, qhT.data(), nb, accH.data());
-
-            float* ho = hOut.data() + (s * n + b0) * h_;
-            for (size_t b = 0; b < nb; ++b) {
-                for (size_t j = 0; j < h_; ++j) {
-                    auto preX = [&](size_t r) {
-                        return float(double(accX[r * nb + b]) *
-                                     fx[r]);
-                    };
-                    auto preH = [&](size_t r) {
-                        return float(double(accH[r * nb + b]) *
-                                     fh[r]);
-                    };
-                    float zv = sigmoidf(preX(j) + preH(j) + b_.w[j]);
-                    float rv = sigmoidf(preX(h_ + j) +
-                                        preH(h_ + j) + b_.w[h_ + j]);
-                    float huv = preH(2 * h_ + j);
-                    float nv = std::tanh(preX(2 * h_ + j) +
-                                         b_.w[2 * h_ + j] + rv * huv);
-                    float hp = hprev[b * h_ + j];
-                    float hv = (1.0f - zv) * nv + zv * hp;
-                    hprev[b * h_ + j] = hv;
-                    ho[b * h_ + j] = hv;
-                }
-            }
-        }
-    };
-    chunkedForward(rnnBatchChunks(n), slice);
-    return hOut;
-}
-
 void
 Gru::prepareServe(RnnServeScratch& s, size_t maxN)
 {
@@ -897,27 +793,8 @@ Gru::prepareServe(RnnServeScratch& s, size_t maxN)
                 qProjWx_.rowScheme, qProjWx_.rowAlpha, qBits_);
     whQ_.ensure(wh_.w.data(), rows, h_, wh_.version,
                 qProjWh_.rowScheme, qProjWh_.rowAlpha, qBits_);
-    ActQuantParams px = actQuantParams(axq_);
-    ActQuantParams ph = actQuantParams(ahq_);
-    s.fx.resize(rows);
-    s.fh.resize(rows);
-    for (size_t r = 0; r < rows; ++r) {
-        s.fx[r] = wxQ_.rowDequant(r) * double(px.invScale);
-        s.fh[r] = whQ_.rowDequant(r) * double(ph.invScale);
-    }
-    s.boundsByN.assign(maxN + 1, {});
-    for (size_t nn = 1; nn <= maxN; ++nn)
-        s.boundsByN[nn] = rnnBatchChunks(nn);
-    s.slots.resize(kRnnMaxBatchChunks);
-    for (auto& sl : s.slots) {
-        sl.qx.resize(maxN * i_);
-        sl.qxT.resize(i_ * maxN);
-        sl.qh.resize(maxN * h_);
-        sl.qhT.resize(h_ * maxN);
-        sl.accX.resize(rows * maxN);
-        sl.accH.resize(rows * maxN);
-        sl.hprev.resize(maxN * h_);
-    }
+    stageRnnServe(s, maxN, i_, h_, wxQ_, whQ_, actQuantParams(axq_),
+                  actQuantParams(ahq_), /*cell=*/false);
 }
 
 void
@@ -934,8 +811,9 @@ Gru::forwardServe(const TensorView& x, const TensorView& y,
     ActQuantParams px = actQuantParams(axq_);
     ActQuantParams ph = actQuantParams(ahq_);
 
-    // intForward's chunked slice over pre-sized Slot buffers; see
-    // Lstm::forwardServe.
+    // Lstm::forwardServe's chunked slice. The x and h contributions
+    // stay separate through rescale because the n~ gate couples them
+    // through r, not by a plain sum.
     const std::vector<size_t>& bounds = s.boundsByN[n];
     size_t chunks = bounds.size() - 1;
     auto slice = [&](size_t ci, size_t b0, size_t b1) {

@@ -48,8 +48,9 @@ constexpr size_t kRnnMaxBatchChunks = 16;
 
 /**
  * Per-replica scratch of the plan-executed LSTM/GRU forwards
- * (serve/executor.hh). prepareServe() sizes one Slot per possible
- * batch chunk at the plan's maximum batch, precomputes the per-row
+ * (serve/executor.hh) and of the int eval forward. prepareServe()
+ * sizes one Slot per batch chunk for the widest chunk any batch up to
+ * the plan's maximum produces, precomputes the per-row
  * rescale factors and the chunk bounds for every batch size up to the
  * maximum, so forwardServe() touches the heap exactly never: the
  * chunk partition a live batch uses is a table lookup, and each
@@ -136,6 +137,7 @@ class Embedding : public Module
     {
         out.push_back(&w_);
     }
+    size_t vocab() const { return vocab_; }
     size_t dim() const { return dim_; }
 
     /** Plan-executed eval lookup: x is a [T, N] float id grid, y a
@@ -170,7 +172,8 @@ class Lstm : public Module
      * Route eval-time forwards onto the integer shift-add backend:
      * both gate matrices are packed per their projection records and
      * every timestep runs quantize -> int accumulate -> rescale for
-     * the x and h paths. Training forwards are unaffected.
+     * the x and h paths (forwardServe). Training forwards are
+     * unaffected.
      */
     void enableIntInference(const MatrixQuantResult& projWx,
                             const MatrixQuantResult& projWh,
@@ -198,16 +201,15 @@ class Lstm : public Module
 
     /**
      * Plan-executed eval forward: x [T, n, I] -> y [T, n, H] with
-     * n <= the prepared maximum, allocating nothing — bit-identical
-     * to forward(x, false) on the int backend. The layer is
-     * immutable here; all mutable state is in @p s.
+     * n <= the prepared maximum, allocating nothing. The int
+     * backend's forward(x, false) runs exactly this over a member
+     * scratch. The layer is immutable here; all mutable state is in
+     * @p s.
      */
     void forwardServe(const TensorView& x, const TensorView& y,
                       RnnServeScratch& s) const;
 
   private:
-    Tensor intForward(const Tensor& x);
-
     /**
      * Full timestep loop (forward) for batch rows [b0, b1). With
      * @p frozenQuant the hidden-state quantizer applies its current
@@ -247,6 +249,7 @@ class Lstm : public Module
     int qBits_ = 0;
     MatrixQuantResult qProjWx_, qProjWh_;
     PackedQMat wxQ_, whQ_; //!< int backend gate-weight panels
+    RnnServeScratch evalScratch_; //!< int eval forward's scratch
 };
 
 /** Unrolled GRU layer, gate order (z, r, n); bias applied on the
@@ -291,8 +294,6 @@ class Gru : public Module
                       RnnServeScratch& s) const;
 
   private:
-    Tensor intForward(const Tensor& x);
-
     /** Forward timestep loop for batch rows [b0, b1) (see Lstm). */
     void forwardSlice(size_t b0, size_t b1, bool frozenQuant);
 
@@ -319,6 +320,7 @@ class Gru : public Module
     int qBits_ = 0;
     MatrixQuantResult qProjWx_, qProjWh_;
     PackedQMat wxQ_, whQ_;
+    RnnServeScratch evalScratch_; //!< int eval forward's scratch
 };
 
 } // namespace mixq

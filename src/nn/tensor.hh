@@ -108,6 +108,14 @@ struct TensorView
     size_t ndim() const { return shape.size(); }
 };
 
+/** View of @p t's storage. The forwardServe calls only read their
+    input view, so a const tensor may back one. */
+inline TensorView
+viewOf(const Tensor& t)
+{
+    return {const_cast<float*>(t.data()), t.shape()};
+}
+
 } // namespace mixq
 
 #endif // MIXQ_NN_TENSOR_HH

@@ -5,7 +5,7 @@
  * so it fuses into the preceding convolution's epilogue: the conv
  * applies BatchNorm2d's exact elementwise formula right after its
  * rescale/bias pass and the BN layer degrades to an identity. One
- * fewer full activation-tensor walk (and one fewer arena-lived
+ * fewer full activation-tensor walk (and one fewer slab-placed
  * buffer) per conv block, with bit-identical outputs — the epilogue
  * replicates the BN eval operation order per element, it does not
  * refactor the scales.

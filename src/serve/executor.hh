@@ -10,12 +10,12 @@
  * are read concurrently by any number of executors, so n replicas
  * cost one model plus n plans.
  *
- * Steady-state run() calls allocate nothing — not from the heap and
- * not from a bump arena: activations land at fixed offsets that are
- * stable across requests, and per-step scratch was pre-sized by
- * prepareServe. Variable batch sizes are handled without replanning
- * by planning twice (unit batch and maximum batch) and interpolating
- * every buffer dimension affinely in the item count; the walk is
+ * Steady-state run() calls allocate nothing: activations land at
+ * fixed slab offsets that are stable across requests, and per-step
+ * scratch was pre-sized by prepareServe. Variable batch sizes are
+ * handled without replanning by planning twice (unit batch and
+ * maximum batch) and interpolating every buffer dimension affinely
+ * in the item count; the walk is
  * deterministic, so the two plans are structurally identical and the
  * interpolation is exact (asserted).
  *

@@ -293,7 +293,7 @@ timeOverlap(const PlanBuffer& a, const PlanBuffer& b)
 } // namespace
 
 size_t
-assignArenaOffsets(std::vector<PlanBuffer>& bufs)
+assignSlabOffsets(std::vector<PlanBuffer>& bufs)
 {
     std::vector<size_t> order(bufs.size());
     std::iota(order.begin(), order.end(), 0);
@@ -353,7 +353,7 @@ ServePlan::validate(std::string* why) const
             if (!disjoint) {
                 if (why)
                     *why = "live buffers '" + a.name + "' and '" +
-                           b.name + "' overlap in the arena";
+                           b.name + "' overlap in the slab";
                 return false;
             }
         }
@@ -372,10 +372,10 @@ planServeForward(Module& root, const std::vector<size_t>& inShape)
     size_t outBuf = walk(c, root, "", inBuf);
     c.plan.outShape = c.plan.buffers[outBuf].shape;
     c.plan.outIndex = outBuf;
-    c.plan.peakBytes = assignArenaOffsets(c.plan.buffers);
+    c.plan.peakBytes = assignSlabOffsets(c.plan.buffers);
     std::string why;
     MIXQ_ASSERT(c.plan.validate(&why),
-                "planner: invalid arena plan: " + why);
+                "planner: invalid slab plan: " + why);
     return c.plan;
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * Ahead-of-time shape inference and liveness-based arena planning
+ * Ahead-of-time shape inference and liveness-based slab planning
  * for the serving runtime. planServeForward() walks a model's named
  * module tree with a symbolic input shape, records every activation
  * tensor the eval forward will materialize (its shape, the step that
  * defines it, the last step that reads it), assigns each buffer an
- * offset in a single arena block by greedy first-fit over the
- * liveness intervals, and reports the resulting peak — the analytic
- * lower bound the server checks its arena capacity against. The walk
+ * offset in a single slab by greedy first-fit over the liveness
+ * intervals, and reports the resulting peak — the slab size the
+ * executor (serve/executor.hh) allocates. The walk
  * also lowers every GEMM-bearing step to the compiler layer's
  * LayerSpec form, so the same plan drives the FPGA timing simulator
  * (compiler/runner.hh simulateNetwork) for deploy-side estimates.
@@ -17,9 +17,9 @@
  * add), the leaf layers, and the RNN task models (LstmLm, GruTagger,
  * LstmClassifier). Folded BatchNorm layers (serve/bn_fold.hh) plan
  * as a pass-through copy. Layer-internal scratch (packed panels,
- * im2col buffers) is persistent member state sized during warmup,
- * not arena-planned — the plan covers the per-call transient
- * activations.
+ * im2col buffers) is per-step serve scratch sized by the layers'
+ * prepareServe, not slab-planned — the plan covers the per-call
+ * transient activations.
  */
 
 #ifndef MIXQ_SERVE_PLANNER_HH
@@ -41,7 +41,7 @@ struct PlanBuffer
     size_t bytes = 0;          //!< float32 payload bytes
     size_t def = 0;            //!< producing step index
     size_t lastUse = 0;        //!< last consuming step index
-    size_t offset = 0;         //!< assigned arena offset
+    size_t offset = 0;         //!< assigned slab offset
 };
 
 /**
@@ -51,7 +51,7 @@ struct PlanBuffer
  * SliceLast copies the last timestep of a [T, N, H] buffer into an
  * [N, H] buffer (LstmClassifier's pre-head slice). The step list is
  * what makes the plan an executed contract (serve/executor.hh) rather
- * than an arena-sizing hint.
+ * than a sizing hint.
  */
 struct PlanStep
 {
@@ -89,7 +89,7 @@ struct ServePlan
  * Returns the layout extent (the plan's peakBytes). Deterministic —
  * replanning the same model and shape is byte-stable.
  */
-size_t assignArenaOffsets(std::vector<PlanBuffer>& bufs);
+size_t assignSlabOffsets(std::vector<PlanBuffer>& bufs);
 
 /**
  * Plan one eval forward of @p root at @p inShape (the max-batch

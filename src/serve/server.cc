@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -12,6 +14,7 @@
 #include "serial/deploy.hh"
 #include "serve/executor.hh"
 #include "serve/fault.hh"
+#include "serve/heap_count.hh"
 #include "util/logging.hh"
 
 namespace mixq {
@@ -33,40 +36,39 @@ serveError(ServeError::Code code, const char* msg)
     return std::make_exception_ptr(ServeError(code, msg));
 }
 
-} // namespace
-
-BatchServer::BatchServer(std::vector<Module*> replicas,
-                         BatchTraits traits, ServeOptions opt)
-    : replicas_(std::move(replicas)), traits_(std::move(traits)),
-      opt_(opt)
+/**
+ * Why the values of @p x cannot be served, or null: a NaN or Inf
+ * (its exponent bits are all ones), or — with @p vocab > 0, for a
+ * model that starts with an Embedding — a value that is not an
+ * integer token id in [0, vocab).
+ */
+const char*
+badValues(const Tensor& x, size_t vocab)
 {
-    MIXQ_ASSERT(!replicas_.empty(), "serve: no model replicas");
-    MIXQ_ASSERT(opt_.maxBatch >= 1, "serve: maxBatch must be >= 1");
-    MIXQ_ASSERT(traits_.batchAxis < traits_.itemShape.size() &&
-                    traits_.itemShape[traits_.batchAxis] == 1,
-                "serve: itemShape must have extent 1 on batchAxis");
-    MIXQ_ASSERT(traits_.batchAxis <= 1,
-                "serve: batchAxis must be 0 (NCHW) or 1 (TNC)");
-    MIXQ_ASSERT(opt_.maxQueueItems == 0 ||
-                    opt_.maxQueueItems >= opt_.maxBatch,
-                "serve: maxQueueItems must be 0 (unbounded) or >= "
-                "maxBatch — else a full-size request can never be "
-                "admitted");
-    if (opt_.planArena) {
-        std::vector<size_t> ws = traits_.itemShape;
-        ws[traits_.batchAxis] = opt_.maxBatch;
-        plan_ = planServeForward(*replicas_[0], ws);
+    const float* v = x.data();
+    uint32_t nonFinite = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+        uint32_t bits;
+        std::memcpy(&bits, v + i, sizeof(bits));
+        nonFinite |= uint32_t((bits & 0x7f800000u) == 0x7f800000u);
     }
-    liveWorkers_ = replicas_.size();
-    workers_.reserve(replicas_.size());
-    for (size_t i = 0; i < replicas_.size(); ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+    if (nonFinite)
+        return "request holds a non-finite value";
+    if (vocab > 0)
+        for (size_t i = 0; i < x.size(); ++i)
+            if (v[i] < 0.0f || v[i] >= float(vocab) ||
+                v[i] != std::floor(v[i]))
+                return "request holds a value that is not a token id "
+                       "in [0, vocab)";
+    return nullptr;
 }
+
+} // namespace
 
 BatchServer::BatchServer(Module& model, size_t replicas,
                          const BatchTraits& traits,
                          const ServeOptions& opt)
-    : planned_(true), sharedModel_(&model), traits_(traits), opt_(opt)
+    : model_(&model), traits_(traits), opt_(opt)
 {
     MIXQ_ASSERT(replicas >= 1, "serve: need at least one replica");
     MIXQ_ASSERT(opt_.maxBatch >= 1, "serve: maxBatch must be >= 1");
@@ -90,11 +92,13 @@ BatchServer::BatchServer(Module& model, size_t replicas,
             model, traits_.itemShape, traits_.batchAxis,
             opt_.maxBatch, opt_.ompThreads));
     plan_ = execs_[0]->plan();
-    arenaCapacity_.store(execs_[0]->slabBytes(),
-                         std::memory_order_relaxed);
-    arenaHighWater_.store(plan_.peakBytes, std::memory_order_relaxed);
-    scratchBytes_.store(execs_[0]->scratchBytes(),
-                        std::memory_order_relaxed);
+    slabBytes_ = execs_[0]->slabBytes();
+    scratchBytes_ = execs_[0]->scratchBytes();
+    // A model that starts with a lookup answers only token ids: its
+    // vocabulary bounds what submit() admits.
+    if (!plan_.steps.empty())
+        if (auto* emb = dynamic_cast<const Embedding*>(plan_.steps[0].mod))
+            vocab_ = emb->vocab();
     liveWorkers_ = replicas;
     workers_.reserve(replicas);
     for (size_t i = 0; i < replicas; ++i)
@@ -127,6 +131,9 @@ BatchServer::submit(Tensor x, long deadlineUs)
             err = "empty request";
         if (err.empty() && items > opt_.maxBatch)
             err = "request items exceed maxBatch";
+        if (err.empty())
+            if (const char* why = badValues(x, vocab_))
+                err = why;
     }
     if (!err.empty()) {
         res.status = ServeStatus::Rejected;
@@ -266,9 +273,8 @@ BatchServer::reloadArtifact(const std::string& path)
     // Stage read-only while traffic keeps flowing: decode + validate
     // everything, touch nothing. Any failure returns here with the
     // old weights still serving.
-    Module& probe = planned_ ? *sharedModel_ : *replicas_[0];
     DeployStage stage;
-    LoadResult r = stageDeployArtifact(path, probe, stage);
+    LoadResult r = stageDeployArtifact(path, *model_, stage);
     if (!r.ok())
         return r;
 
@@ -282,17 +288,12 @@ BatchServer::reloadArtifact(const std::string& path)
     pauseCv_.wait(lk, [&] {
         return pausedWorkers_ == liveWorkers_ || stopping_;
     });
-    if (planned_) {
-        stage.apply(*sharedModel_);
-        // The executors staged per-layer eval constants (BN's frozen
-        // affine, pack versions) at construction — re-stage them
-        // against the swapped model while everyone is parked.
-        for (auto& exec : execs_)
-            exec->restage();
-    } else {
-        for (Module* m : replicas_)
-            stage.apply(*m);
-    }
+    stage.apply(*model_);
+    // The executors staged per-layer eval constants (BN's frozen
+    // affine, pack versions) at construction — re-stage them against
+    // the swapped model while everyone is parked.
+    for (auto& exec : execs_)
+        exec->restage();
     reloadGen_.fetch_add(1, std::memory_order_relaxed);
     pauseRequested_ = false;
     lk.unlock();
@@ -307,13 +308,9 @@ BatchServer::stats() const
     s.requests = doneRequests_.load(std::memory_order_relaxed);
     s.items = doneItems_.load(std::memory_order_relaxed);
     s.batches = doneBatches_.load(std::memory_order_relaxed);
-    s.arenaCapacity = arenaCapacity_.load(std::memory_order_relaxed);
+    s.slabBytes = slabBytes_;
     s.planPeakBytes = plan_.peakBytes;
-    s.arenaHighWater =
-        arenaHighWater_.load(std::memory_order_relaxed);
-    s.arenaOverflows =
-        arenaOverflows_.load(std::memory_order_relaxed);
-    s.scratchBytes = scratchBytes_.load(std::memory_order_relaxed);
+    s.scratchBytes = scratchBytes_;
     s.accepted = accepted_.load(std::memory_order_relaxed);
     s.shed = shed_.load(std::memory_order_relaxed);
     s.expired = expired_.load(std::memory_order_relaxed);
@@ -428,10 +425,7 @@ BatchServer::workerLoop(size_t worker)
 #endif
     bool abnormal = false;
     try {
-        if (planned_)
-            plannedWorkerBody(worker);
-        else
-            replicaWorkerBody(worker);
+        workerBody(worker);
     } catch (...) {
         // Permanent worker death: warmup failure or an injected
         // kill. The batch (if any) already settled its futures; the
@@ -472,60 +466,7 @@ BatchServer::workerExit(bool abnormal)
 }
 
 void
-BatchServer::replicaWorkerBody(size_t worker)
-{
-    Module& model = *replicas_[worker];
-    std::vector<size_t> ws = traits_.itemShape;
-    ws[traits_.batchAxis] = opt_.maxBatch;
-
-    // Warmup contract (serve/arena.hh): grow every layer-internal
-    // scratch container to its max-batch capacity on the real heap
-    // before the first scoped forward. Two passes reach the fixed
-    // point (first sizes, second verifies), the third measures the
-    // steady-state transient footprint for arena sizing. A warmup
-    // failure (real OOM or the injected one) is a permanent worker
-    // death — it propagates to workerLoop.
-    faultOnWarmup();
-    size_t measured = 0;
-    {
-        Tensor wx(ws); // zeros: id 0 is valid for embedding models
-        model.forward(wx, false);
-        model.forward(wx, false);
-        ScopedHeapAllocCount m;
-        Tensor y = model.forward(wx, false);
-        measured = m.bytes();
-    }
-    size_t cap = opt_.arenaBytes;
-    cap = std::max(cap, 2 * measured + (size_t(64) << 10));
-    cap = std::max(cap, plan_.peakBytes + (size_t(64) << 10));
-    Arena arena(cap);
-    if (worker == 0)
-        arenaCapacity_.store(cap, std::memory_order_relaxed);
-
-    size_t batchesDone = 0;
-    uint64_t myGen = reloadGen_.load(std::memory_order_relaxed);
-    for (;;) {
-        std::vector<Request> batch;
-        size_t items = 0;
-        if (!nextBatch(batch, items))
-            break;
-        uint64_t gen = reloadGen_.load(std::memory_order_relaxed);
-        if (gen != myGen) {
-            // Weights were hot-swapped: give the zero-alloc steady-
-            // state assertion its settling grace again (fresh panels
-            // may lazily repack on first touch).
-            myGen = gen;
-            batchesDone = 0;
-        }
-        uint64_t seq = batchSeq_.fetch_add(1, std::memory_order_relaxed);
-        if (!runBatch(model, arena, batch, items, batchesDone, seq))
-            throw WorkerKillFault();
-        ++batchesDone;
-    }
-}
-
-void
-BatchServer::plannedWorkerBody(size_t worker)
+BatchServer::workerBody(size_t worker)
 {
     PlanExecutor& exec = *execs_[worker];
 
@@ -577,69 +518,6 @@ BatchServer::failBatch(std::vector<Request>& batch,
 }
 
 bool
-BatchServer::runBatch(Module& model, Arena& arena,
-                      std::vector<Request>& batch, size_t items,
-                      size_t batchesDone, uint64_t seq)
-{
-    (void)batchesDone;
-    bool keepRunning = true;
-    try {
-        faultOnBatch(seq);
-        Tensor xb, yb;
-#ifndef NDEBUG
-        const size_t overflowsBefore = arena.overflowCount();
-#endif
-        {
-            ArenaScope scope(arena);
-#ifndef NDEBUG
-            ScopedHeapAllocCount heap;
-#endif
-            xb = gather(batch, items);
-            yb = model.forward(xb, false);
-#ifndef NDEBUG
-            // Steady state: every transient lives in the arena. The
-            // first batches may still settle promise plumbing; an
-            // arena overflow falls back to the heap legitimately.
-            if (batchesDone >= 2 &&
-                arena.overflowCount() == overflowsBefore)
-                MIXQ_ASSERT(
-                    heap.count() == 0,
-                    "serve: steady-state forward allocated on the "
-                    "heap — a layer grew scratch outside warmup");
-#endif
-        }
-        // Responses are deep copies on the real heap: they outlive
-        // this batch's arena region. yb stays readable until reset.
-        scatter(yb, items, batch);
-        xb = Tensor(); // arena-backed; the frees are no-ops
-        yb = Tensor();
-        arena.reset();
-        doneItems_.fetch_add(items, std::memory_order_relaxed);
-        doneRequests_.fetch_add(batch.size(),
-                                std::memory_order_relaxed);
-    } catch (const WorkerKillFault&) {
-        // Permanent death: fail this batch, then tell the loop to
-        // retire this worker. Survivors keep draining the queue.
-        faults_.fetch_add(1, std::memory_order_relaxed);
-        failed_.fetch_add(batch.size(), std::memory_order_relaxed);
-        failBatch(batch, std::current_exception());
-        arena.reset();
-        keepRunning = false;
-    } catch (...) {
-        // Contained fault: only this batch's futures fail; the
-        // worker and the model replica keep serving.
-        faults_.fetch_add(1, std::memory_order_relaxed);
-        failed_.fetch_add(batch.size(), std::memory_order_relaxed);
-        failBatch(batch, std::current_exception());
-        arena.reset();
-    }
-    atomicMax(arenaHighWater_, arena.highWater());
-    atomicMax(arenaOverflows_, arena.overflowCount());
-    doneBatches_.fetch_add(1, std::memory_order_relaxed);
-    return keepRunning;
-}
-
-bool
 BatchServer::runBatchPlanned(PlanExecutor& exec,
                              std::vector<Request>& batch,
                              size_t items, size_t batchesDone,
@@ -650,15 +528,13 @@ BatchServer::runBatchPlanned(PlanExecutor& exec,
     try {
         faultOnBatch(seq);
 #ifndef NDEBUG
-        const uint64_t arenaBefore = arenaAllocCount();
         ScopedHeapAllocCount heap;
 #endif
         gatherInto(batch, items, exec.inputData());
         exec.run(items);
 #ifndef NDEBUG
-        // The executed plan's contract is stronger than the arena
-        // path's: a steady-state batch touches neither the heap nor
-        // any bump arena — every activation lands at its planned
+        // The executed plan's contract: a steady-state batch never
+        // touches the heap — every activation lands at its planned
         // slab offset and all scratch was ctor-sized. The first
         // batches may still settle promise plumbing.
         if (batchesDone >= 2) {
@@ -666,10 +542,6 @@ BatchServer::runBatchPlanned(PlanExecutor& exec,
                 heap.count() == 0,
                 "serve: steady-state planned batch allocated on the "
                 "heap — a layer grew scratch outside prepareServe");
-            MIXQ_ASSERT(
-                arenaAllocCount() == arenaBefore,
-                "serve: planned batch took a bump-arena allocation — "
-                "activations must come from the plan slab");
         }
 #endif
         // Responses are deep copies: the slab's buffers are reused
@@ -691,17 +563,6 @@ BatchServer::runBatchPlanned(PlanExecutor& exec,
     }
     doneBatches_.fetch_add(1, std::memory_order_relaxed);
     return keepRunning;
-}
-
-Tensor
-BatchServer::gather(const std::vector<Request>& batch,
-                    size_t items) const
-{
-    std::vector<size_t> bs = traits_.itemShape;
-    bs[traits_.batchAxis] = items;
-    Tensor xb(bs);
-    gatherInto(batch, items, xb.data());
-    return xb;
 }
 
 void
@@ -730,13 +591,6 @@ BatchServer::gatherInto(const std::vector<Request>& batch,
             off += r.items;
         }
     }
-}
-
-void
-BatchServer::scatter(const Tensor& yb, size_t items,
-                     std::vector<Request>& batch) const
-{
-    scatterRaw(yb.data(), yb.shape(), items, batch);
 }
 
 void

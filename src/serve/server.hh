@@ -1,7 +1,7 @@
 /**
  * @file
- * Batched inference server runtime. BatchServer owns a small pool of
- * worker threads, each bound to one model replica; callers submit()
+ * Batched inference server runtime. BatchServer runs a small pool of
+ * worker threads over ONE shared, immutable model; callers submit()
  * single- or multi-item request tensors and get a future for the
  * per-request output slice. Workers pull from one shared FIFO queue
  * and coalesce adjacent requests into a batch of up to
@@ -11,48 +11,42 @@
  * ships the batch (a request is one unit; items of one request are
  * never split across batches).
  *
- * Two execution modes share the queue/coalescing front end:
- *
- * Replica mode (legacy): each worker owns a full model replica and
- * runs its steady-state forwards inside an ArenaScope
- * (serve/arena.hh): warmup sizes all layer-internal scratch at the
- * max-batch shape on the real heap, the arena is sized from the
- * measured transient footprint and the ahead-of-time plan
- * (serve/planner.hh), and from then on each batch's activations are
- * bump-allocated and released with one pointer reset. In Debug
- * builds the worker asserts the steady state allocates nothing on
- * the calling thread's heap.
- *
- * Planned mode (shared model): the plan is *executed*, not just a
- * sizing hint. One immutable model is shared by every worker; each
- * worker owns only a PlanExecutor (serve/executor.hh) — a pre-
- * faulted slab plus per-step serve scratch, and for a CNN one item
- * lane per member of its ompThreads team — and gathers requests
- * straight into the slab's input buffer, runs the recorded step
- * list at the planner's fixed offsets, and scatters from the output
- * buffer. Steady state allocates nothing at all: no heap *and* no
- * bump-pointer traffic (Debug builds assert both), and activation
- * addresses are stable across requests. n replicas cost one model
+ * Every batch runs an executed plan. Each worker owns only a
+ * PlanExecutor (serve/executor.hh) — a pre-faulted slab plus per-step
+ * serve scratch, and for a CNN one item lane per member of its
+ * ompThreads team — gathers requests straight into the slab's input
+ * buffer, runs the recorded step list at the planner's fixed offsets
+ * and scatters from the output buffer. Steady state allocates nothing
+ * (Debug builds assert it with serve/heap_count.hh), and activation
+ * addresses are stable across requests. n workers cost one model
  * plus n plans.
+ *
+ * The model must be one the planner (serve/planner.hh) can lower.
+ * There is no fallback path: constructing a server over a model with
+ * a module the planner does not model panics, naming the module's
+ * dotted path.
  *
  * Batch composition does not change results: the Int backend's
  * integer accumulation is per output column and every float epilogue
  * is per-element, so a request served alone is bit-identical to the
- * same request inside any coalesced batch (tests/serve_test.cc locks
- * this in).
+ * same request inside any coalesced batch, and to the model's own
+ * forward(x, false) (tests/serve_test.cc locks this in).
  *
  * Failure model (see ARCHITECTURE.md "Failure model" for the full
  * contract): every future submit() hands out settles exactly once —
  * with the output tensor or with a structured error — no matter what
- * faults the server absorbs. Admission control bounds queue memory
- * (ServeOptions::maxQueueItems + OverloadPolicy); per-request
- * deadlines expire requests that waited too long; a worker forward
- * that throws fails only its own batch's futures and the worker
- * keeps serving; a worker that dies permanently leaves the survivors
- * draining the queue, and when the last worker dies every queued and
- * future request fails instead of hanging. reloadArtifact() swaps in
- * a new deploy artifact between batches — a damaged artifact is
- * refused with the old model still serving.
+ * faults the server absorbs. submit() refuses requests the model
+ * cannot answer (wrong shape, non-finite values, token ids outside
+ * the embedding's vocabulary) before they reach a worker. Admission
+ * control bounds queue memory (ServeOptions::maxQueueItems +
+ * OverloadPolicy); per-request deadlines expire requests that waited
+ * too long; a worker forward that throws fails only its own batch's
+ * futures and the worker keeps serving; a worker that dies
+ * permanently leaves the survivors draining the queue, and when the
+ * last worker dies every queued and future request fails instead of
+ * hanging. reloadArtifact() swaps in a new deploy artifact between
+ * batches — a damaged artifact is refused with the old model still
+ * serving.
  */
 
 #ifndef MIXQ_SERVE_SERVER_HH
@@ -73,7 +67,6 @@
 
 #include "nn/module.hh"
 #include "serial/record_io.hh"
-#include "serve/arena.hh"
 #include "serve/planner.hh"
 
 namespace mixq {
@@ -142,12 +135,9 @@ struct ServeOptions
     size_t maxBatch = 8;   //!< max coalesced items per forward
     long deadlineUs = 1000; //!< max wait for a batch to fill; 0 =
                             //!< never coalesce (batch of one request)
-    size_t arenaBytes = 0; //!< arena capacity floor; 0 = sized from
-                           //!< warmup measurement and the plan
     int ompThreads = 0;    //!< omp_set_num_threads per worker and
-                           //!< the planned executors' lane count;
+                           //!< the executors' lane count;
                            //!< 0 = inherit the environment
-    bool planArena = true; //!< run the ahead-of-time planner
     size_t maxQueueItems = 0; //!< admission bound on queued items;
                               //!< 0 = unbounded (no admission
                               //!< control). Must be >= maxBatch.
@@ -181,7 +171,7 @@ struct SubmitResult
     bool accepted() const { return status == ServeStatus::Accepted; }
 };
 
-/** Dynamic-batching inference server over per-worker model replicas. */
+/** Dynamic-batching inference server over one shared model. */
 class BatchServer
 {
   public:
@@ -191,13 +181,11 @@ class BatchServer
         size_t requests = 0; //!< requests served successfully
         size_t items = 0;    //!< items served successfully
         size_t batches = 0;  //!< forwards attempted
-        size_t arenaCapacity = 0;  //!< worker 0's arena / slab size
+        size_t slabBytes = 0;      //!< worker 0's slab size
         size_t planPeakBytes = 0;  //!< planner's analytic peak
-        size_t arenaHighWater = 0; //!< worker 0's observed peak
-        size_t arenaOverflows = 0; //!< heap-fallback allocations
         size_t scratchBytes = 0;   //!< worker 0's memory beyond its
                                    //!< slab: serve scratch, lane
-                                   //!< slabs, staging (planned only)
+                                   //!< slabs, staging
         size_t accepted = 0; //!< requests admitted to the queue
         size_t shed = 0;     //!< requests dropped by overload policy
         size_t expired = 0;  //!< requests dropped past their deadline
@@ -209,28 +197,15 @@ class BatchServer
     };
 
     /**
-     * Spawn one worker thread per replica. Replicas must be distinct
-     * Module trees of identical architecture and weights, already
-     * switched to the serving backend — layer forward passes use
-     * member scratch, so a replica must never be shared between
-     * workers. The server does not own the replicas.
-     */
-    BatchServer(std::vector<Module*> replicas, BatchTraits traits,
-                ServeOptions opt);
-
-    /**
-     * Plan-executed shared-model mode: spawn @p replicas workers over
-     * ONE immutable @p model. Each worker owns only a PlanExecutor
-     * (activation slab + per-step serve scratch); the model — packed
-     * weight panels, folded BN, float weights — is read concurrently
-     * by all of them, so n replicas cost one model plus n plans. The
-     * model must already be switched to its serving backend and must
-     * not be mutated while the server runs (reloadArtifact() is the
-     * one sanctioned mutation — it quiesces the workers first).
-     * Steady-state batches allocate nothing (no heap, no arena; Debug
-     * builds assert both) and are bit-identical to replica-mode
-     * serving. ServeOptions::arenaBytes and planArena are ignored
-     * here.
+     * Spawn @p replicas workers over ONE immutable @p model. Each
+     * worker owns only a PlanExecutor (activation slab + per-step
+     * serve scratch); the model — packed weight panels, folded BN,
+     * float weights — is read concurrently by all of them. The model
+     * must already be switched to its serving backend and must not be
+     * mutated while the server runs (reloadArtifact() is the one
+     * sanctioned mutation — it quiesces the workers first). Panics,
+     * naming the module's dotted path, on a model the planner cannot
+     * lower.
      */
     BatchServer(Module& model, size_t replicas,
                 const BatchTraits& traits, const ServeOptions& opt);
@@ -249,7 +224,9 @@ class BatchServer
      *
      * Admission is governed by ServeOptions::maxQueueItems and the
      * overload policy; the returned status says what happened. Shape
-     * errors and oversize requests (items > maxBatch) return Rejected
+     * errors, oversize requests (items > maxBatch), non-finite values
+     * and — for a model whose first step is an Embedding — values
+     * that are not integer token ids in [0, vocab) return Rejected
      * with std::invalid_argument on the future; submission after
      * stop() — or after every worker died — deterministically returns
      * Rejected with ServeError::Stopped, never enqueues, never
@@ -274,7 +251,7 @@ class BatchServer
      * Hot-swap the served weights from a deploy artifact: stage the
      * artifact read-only against the serving model (concurrent
      * batches keep running), then quiesce every worker between
-     * batches, apply the staged panels to every replica, and resume.
+     * batches, apply the staged panels to the model, and resume.
      * Accepted requests straddling the swap are never lost — they
      * serve either the old or the new weights, whole batches at a
      * time. On any failure (damaged / mismatched file, stopped
@@ -285,7 +262,7 @@ class BatchServer
 
     Stats stats() const;
 
-    /** The ahead-of-time plan ({} when planArena was off). */
+    /** The executed (maximum-batch) plan. */
     const ServePlan& plan() const { return plan_; }
 
   private:
@@ -299,10 +276,9 @@ class BatchServer
     };
 
     void workerLoop(size_t worker);
-    /** Replica / planned serving loops; return normally on shutdown,
-        throw on permanent worker death. */
-    void replicaWorkerBody(size_t worker);
-    void plannedWorkerBody(size_t worker);
+    /** Serving loop; returns normally on shutdown, throws on
+        permanent worker death. */
+    void workerBody(size_t worker);
     /** Worker bookkeeping on exit; sweeps the queue when the last
         worker dies abnormally. */
     void workerExit(bool abnormal);
@@ -315,31 +291,25 @@ class BatchServer
                           std::exception_ptr e);
     /** Run one batch; false = this worker must die (injected worker
         death). Either way every future of @p batch settles. */
-    bool runBatch(Module& model, Arena& arena,
-                  std::vector<Request>& batch, size_t items,
-                  size_t batchesDone, uint64_t seq);
     bool runBatchPlanned(PlanExecutor& exec,
                          std::vector<Request>& batch, size_t items,
                          size_t batchesDone, uint64_t seq);
-    Tensor gather(const std::vector<Request>& batch,
-                  size_t items) const;
-    /** Gather straight into a planned input buffer (no Tensor). */
+    /** Gather straight into the executor's input buffer. */
     void gatherInto(const std::vector<Request>& batch, size_t items,
                     float* dst) const;
-    void scatter(const Tensor& yb, size_t items,
-                 std::vector<Request>& batch) const;
-    /** Scatter from a raw output of shape @p ys (planned mode; the
-        Tensor overload delegates here). */
+    /** Scatter from the executor's output of shape @p ys. */
     void scatterRaw(const float* yb, const std::vector<size_t>& ys,
                     size_t items, std::vector<Request>& batch) const;
 
-    std::vector<Module*> replicas_;
-    bool planned_ = false;
-    Module* sharedModel_ = nullptr; //!< planned mode's one model
+    Module* model_ = nullptr; //!< the one shared model
     std::vector<std::unique_ptr<PlanExecutor>> execs_;
     BatchTraits traits_;
     ServeOptions opt_;
     ServePlan plan_;
+    size_t slabBytes_ = 0;    //!< worker 0's slab (set before start)
+    size_t scratchBytes_ = 0; //!< worker 0's scratch (likewise)
+    size_t vocab_ = 0; //!< ids a first-step Embedding accepts (0: the
+                       //!< model does not start with one)
 
     mutable std::mutex mu_;
     std::condition_variable cv_;     //!< queue / pause / stop wakeups
@@ -360,10 +330,7 @@ class BatchServer
     std::atomic<size_t> doneRequests_{0};
     std::atomic<size_t> doneItems_{0};
     std::atomic<size_t> doneBatches_{0};
-    std::atomic<size_t> arenaCapacity_{0};
-    std::atomic<size_t> arenaHighWater_{0};
-    std::atomic<size_t> arenaOverflows_{0};
-    std::atomic<size_t> scratchBytes_{0};
+
     std::atomic<size_t> accepted_{0};
     std::atomic<size_t> shed_{0};
     std::atomic<size_t> expired_{0};

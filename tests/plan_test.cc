@@ -1,13 +1,14 @@
 /**
  * @file
- * Arena allocator and ahead-of-time plan unit tests: bump-allocation
- * mechanics, the thread-local operator-new redirect, the scoped
- * heap-allocation counter, liveness-overlap rejection in
- * ServePlan::validate(), the greedy offset assignment against an
- * analytic hand case, plan byte-stability across replans, and the
- * headline property — a warmed-up Int-backend forward under an
- * ArenaScope performs zero real-heap allocations on the calling
- * thread and still produces bit-identical outputs.
+ * Ahead-of-time plan and plan-execution tests: the per-thread heap
+ * counter behind every zero-allocation assertion, liveness-overlap
+ * rejection in ServePlan::validate(), the greedy offset assignment
+ * against an analytic hand case, plan byte-stability across replans,
+ * the headline PlanExecutor property — a steady-state run allocates
+ * nothing and is bit-identical to the eval forward — weight sharing
+ * between executors, and the construction-time panic (with the
+ * module's dotted path) on a model the planner cannot lower, which
+ * is the serving contract: there is no fallback path.
  */
 
 #include <gtest/gtest.h>
@@ -20,79 +21,16 @@
 #include "nn/models.hh"
 #include "nn/rnn_models.hh"
 #include "nn/trainer.hh"
-#include "serve/arena.hh"
 #include "serve/executor.hh"
+#include "serve/heap_count.hh"
 #include "serve/planner.hh"
+#include "serve/server.hh"
 #include "util/rng.hh"
 
 namespace mixq {
 namespace {
 
-TEST(Arena, BumpAllocAlignmentAndReset)
-{
-    Arena a(1024);
-    EXPECT_EQ(a.capacity(), 1024u);
-    EXPECT_EQ(a.used(), 0u);
-
-    void* p = a.alloc(10, 8);
-    ASSERT_NE(p, nullptr);
-    EXPECT_TRUE(a.contains(p));
-    EXPECT_EQ(uintptr_t(p) % 8, 0u);
-
-    void* q = a.alloc(100, 64);
-    ASSERT_NE(q, nullptr);
-    EXPECT_EQ(uintptr_t(q) % 64, 0u);
-    EXPECT_GT(a.used(), 100u);
-    size_t usedBefore = a.used();
-
-    // Over-capacity allocation fails (heap fallback is the caller's
-    // job) and leaves the arena untouched.
-    EXPECT_EQ(a.alloc(2048, 8), nullptr);
-    EXPECT_EQ(a.used(), usedBefore);
-
-    a.reset();
-    EXPECT_EQ(a.used(), 0u);
-    EXPECT_GE(a.highWater(), usedBefore);
-    EXPECT_EQ(a.allocCount(), 2u);
-
-    // The recycled block hands out the same addresses again.
-    void* p2 = a.alloc(10, 8);
-    EXPECT_EQ(p2, p);
-
-    int heap = 7;
-    EXPECT_FALSE(a.contains(&heap));
-}
-
-TEST(Arena, ScopeRedirectsCallingThreadAllocations)
-{
-    Arena a(1 << 16);
-    uint64_t heapBefore = heapAllocCount();
-    uint64_t arenaBefore = arenaAllocCount();
-
-    float* inArena = nullptr;
-    {
-        ArenaScope scope(a);
-        inArena = new float[32];
-        // The redirect served this from the arena, not the heap.
-    }
-    ASSERT_NE(inArena, nullptr);
-    EXPECT_TRUE(a.contains(inArena));
-    EXPECT_EQ(heapAllocCount(), heapBefore);
-    EXPECT_GT(arenaAllocCount(), arenaBefore);
-
-    // Deleting an arena pointer is a no-op (the block is recycled
-    // wholesale); deleting while the arena is live must not free.
-    delete[] inArena;
-    EXPECT_GT(a.used(), 0u);
-
-    // Outside the scope, new goes back to the real heap.
-    float* onHeap = new float[32];
-    EXPECT_FALSE(a.contains(onHeap));
-    EXPECT_GT(heapAllocCount(), heapBefore);
-    delete[] onHeap;
-}
-
-TEST(Arena, ScopedHeapAllocCountSeesHeapTraffic)
+TEST(HeapCount, ScopedHeapAllocCountSeesHeapTraffic)
 {
     ScopedHeapAllocCount c;
     EXPECT_EQ(c.count(), 0u);
@@ -149,7 +87,7 @@ TEST(ServePlanValidate, RejectsOverlapOfLiveBuffers)
     EXPECT_NE(why.find("peakBytes"), std::string::npos);
 }
 
-TEST(AssignArenaOffsets, MatchesAnalyticHandCase)
+TEST(AssignSlabOffsets, MatchesAnalyticHandCase)
 {
     // Chain a -> b -> c: a and b overlap, b and c overlap, a and c
     // do not — c reuses a's bytes, b packs above the larger of them.
@@ -157,7 +95,7 @@ TEST(AssignArenaOffsets, MatchesAnalyticHandCase)
     bufs.push_back(buf("a", 1000, 0, 1));
     bufs.push_back(buf("b", 500, 1, 2));
     bufs.push_back(buf("c", 900, 2, 2));
-    size_t peak = assignArenaOffsets(bufs);
+    size_t peak = assignSlabOffsets(bufs);
 
     EXPECT_EQ(bufs[0].offset, 0u);
     EXPECT_EQ(bufs[2].offset, 0u); // reuses a's range
@@ -223,73 +161,11 @@ TEST(Planner, RnnModelsPlanWithTimeMajorShapes)
     EXPECT_TRUE(cp.validate(&why)) << why;
 }
 
-// The headline property: after unscoped warmup at the serving shape,
-// an Int-backend forward inside an ArenaScope allocates nothing on
-// the calling thread's real heap, and the arena-served run is
-// bit-identical to the heap-served one.
-TEST(Arena, SteadyStateIntForwardAllocatesZeroHeap)
-{
-    Rng dataRng(73);
-    Tensor x = Tensor::randn({8, 3, 12, 12}, dataRng, 1.0);
-    for (float& v : x.span())
-        v = v < 0.0f ? -v : v;
-
-    Rng rng(74);
-    auto model = makeMiniResNet(4, rng);
-    QConfig cfg;
-    QatContext qat(cfg);
-    qat.attach(model->params());
-    model->setActQuant(cfg.actBits, true);
-    model->forward(x, true); // calibrate
-    qat.finalize();
-    InferenceSession sess(*model, &qat, InferBackend::Int);
-
-    // Warmup: grow every layer scratch container to steady-state
-    // capacity on the real heap (the serve warmup contract).
-    sess.run(x);
-    Tensor ref = sess.run(x);
-
-    ServePlan plan = planServeForward(*model, {8, 3, 12, 12});
-    Arena arena(4 * plan.peakBytes + (1 << 20));
-    Tensor got;
-    uint64_t heapAllocs = 0, arenaAllocs = 0;
-    {
-        ArenaScope scope(arena);
-        ScopedHeapAllocCount heap;
-        uint64_t a0 = arenaAllocCount();
-        got = sess.run(x);
-        heapAllocs = heap.count();
-        arenaAllocs = arenaAllocCount() - a0;
-    }
-    EXPECT_EQ(heapAllocs, 0u)
-        << "steady-state forward hit the real heap";
-    EXPECT_GT(arenaAllocs, 0u);
-    EXPECT_EQ(arena.overflowCount(), 0u);
-    EXPECT_LE(arena.highWater(), arena.capacity());
-
-    ASSERT_EQ(got.size(), ref.size());
-    for (size_t i = 0; i < ref.size(); ++i)
-        ASSERT_EQ(got[i], ref[i]) << "index " << i;
-
-    // Drop the arena-backed tensor before the arena dies, then make
-    // sure the block recycles for another identical run.
-    got = Tensor();
-    arena.reset();
-    {
-        ArenaScope scope(arena);
-        got = sess.run(x);
-    }
-    for (size_t i = 0; i < ref.size(); ++i)
-        ASSERT_EQ(got[i], ref[i]) << "after reset, index " << i;
-    got = Tensor();
-}
-
-// The executed plan's stronger property: a steady-state PlanExecutor
-// run allocates nothing at all — zero real-heap allocations AND zero
-// bump-arena traffic — because every activation lands at its planned
-// slab offset and all scratch was ctor-sized. Offsets are stable
-// across requests, and the result is bit-identical to the scope-path
-// eval forward.
+// The executed plan's headline property: a steady-state PlanExecutor
+// run allocates nothing at all, because every activation lands at its
+// planned slab offset and all scratch was ctor-sized. Offsets are
+// stable across requests, and the result is bit-identical to the eval
+// forward.
 TEST(PlanExecutor, SteadyStateRunAllocatesNothingAtAll)
 {
     Rng dataRng(75);
@@ -321,13 +197,10 @@ TEST(PlanExecutor, SteadyStateRunAllocatesNothingAtAll)
     const float* outBefore = exec.outputData();
 
     ScopedHeapAllocCount heap;
-    uint64_t a0 = arenaAllocCount();
     std::copy_n(x.data(), x.size(), exec.inputData());
     exec.run(8);
     EXPECT_EQ(heap.count(), 0u)
-        << "steady-state planned run hit the real heap";
-    EXPECT_EQ(arenaAllocCount(), a0)
-        << "planned run must not touch any bump arena";
+        << "steady-state planned run hit the heap";
 
     // Offsets are the planner's — stable across requests.
     EXPECT_EQ(exec.outputData(), outBefore);
@@ -410,6 +283,10 @@ TEST(PlannerDeath, UnmodeledModulePanicsWithDottedPath)
     seq.add(std::make_unique<Linear>(8, 8, rng));
     seq.add(std::make_unique<UnmodeledModule>());
     EXPECT_DEATH(planServeForward(seq, {2, 8}),
+                 "unmodeled module type .* at '1'");
+    // The server plans at construction and has no fallback path.
+    EXPECT_DEATH(BatchServer(seq, 1, BatchTraits{{1, 8}, 0, false},
+                             ServeOptions{}),
                  "unmodeled module type .* at '1'");
 }
 

@@ -160,8 +160,7 @@ TEST(ServeFault, ForwardThrowFailsOnlyItsBatchAndWorkerKeepsServing)
 
     ServeOptions opt;
     opt.deadlineUs = 0; // one request per batch: request i = batch i
-    BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
-                       opt);
+    BatchServer server(*model, 1, cnnTraits(), opt);
 
     // Serve sequentially so the global batch sequence is the request
     // index. Batch 2 must fail with the injected error; every other
@@ -196,11 +195,10 @@ TEST(ServeFault, ForwardThrowFailsOnlyItsBatchAndWorkerKeepsServing)
 TEST(ServeFault, KilledWorkerLeavesSurvivorDrainingTheQueue)
 {
     Tensor x = cnnData();
-    auto replicaA = intResNet(82, x);
-    auto replicaB = intResNet(82, x); // same seed: identical weights
+    auto model = intResNet(82, x);
     std::vector<Tensor> refs;
     for (size_t i = 0; i < 8; ++i)
-        refs.push_back(replicaA->forward(sliceAxis0(x, i, 1), false));
+        refs.push_back(model->forward(sliceAxis0(x, i, 1), false));
 
     FaultPlan plan;
     plan.killWorkerAtBatch = 1;
@@ -208,9 +206,7 @@ TEST(ServeFault, KilledWorkerLeavesSurvivorDrainingTheQueue)
 
     ServeOptions opt;
     opt.deadlineUs = 0;
-    BatchServer server(
-        std::vector<Module*>{replicaA.get(), replicaB.get()},
-        cnnTraits(), opt);
+    BatchServer server(*model, 2, cnnTraits(), opt);
 
     // Burst-submit; exactly one batch draws sequence number 1 and its
     // worker dies serving it. Whichever worker that was, the other
@@ -263,8 +259,7 @@ TEST(ServeFault, LastWorkerDeathFailsEverythingInsteadOfHanging)
 
     ServeOptions opt;
     opt.deadlineUs = 0;
-    BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
-                       opt);
+    BatchServer server(*model, 1, cnnTraits(), opt);
 
     std::vector<std::future<Tensor>> futs;
     for (size_t i = 0; i < 5; ++i)
@@ -311,8 +306,7 @@ TEST(ServeFault, WarmupAllocationFailureRetiresTheWorkerCleanly)
 
     ServeOptions opt;
     opt.deadlineUs = 0;
-    BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
-                       opt);
+    BatchServer server(*model, 1, cnnTraits(), opt);
 
     // The worker dies in warmup before serving anything. Wait for the
     // death to be observed, then check the server degrades to
@@ -340,8 +334,7 @@ TEST(ServeFault, DeadlineExpiryDropsQueuedRequestsBeforeGathering)
 
     ServeOptions opt;
     opt.deadlineUs = 0;
-    BatchServer server(std::vector<Module*>{model.get()}, cnnTraits(),
-                       opt);
+    BatchServer server(*model, 1, cnnTraits(), opt);
 
     // Warm the server fault-free so the stall below is the only thing
     // slowing it down.
@@ -408,8 +401,7 @@ TEST(ServeFault, ReloadRefusesDamagedArtifactAndSwapsGoodOne)
     loadDeployArtifact(artifactA, *serving);
     ServeOptions opt;
     opt.deadlineUs = 0;
-    BatchServer server(std::vector<Module*>{serving.get()},
-                       cnnTraits(), opt);
+    BatchServer server(*serving, 1, cnnTraits(), opt);
     expectBitEqual(server.submit(Tensor(req)).future.get(), refA);
 
     // Damaged file: precise failure class, old weights keep serving.
@@ -443,7 +435,7 @@ TEST(ServeFault, ReloadRefusesDamagedArtifactAndSwapsGoodOne)
         std::remove(p.c_str());
 }
 
-TEST(ServeFault, ReloadSwapsUnderPlannedSharedModelMode)
+TEST(ServeFault, ReloadSwapsUnderTwoWorkers)
 {
     Tensor x = cnnData();
     const std::string artifactB =

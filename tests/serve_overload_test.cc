@@ -107,8 +107,7 @@ runOverload(OverloadPolicy policy)
         opt.deadlineUs = 0; // one request per batch
         opt.maxQueueItems = kQueueBound;
         opt.overload = policy;
-        BatchServer server(std::vector<Module*>{model.get()}, traits,
-                           opt);
+        BatchServer server(*model, 1, traits, opt);
 
         std::vector<std::future<Tensor>> futs;
         for (size_t i = 0; i < kOffered; ++i) {

@@ -9,8 +9,10 @@
  * OMP thread counts. Around it: concurrency (ragged producers, no
  * lost or duplicated responses), shutdown mid-flight (every future
  * settles), the deadline=0 degenerate case (one request per batch),
- * request validation, and inference-only Conv+BN folding
- * (serve/bn_fold.hh) staying bit-identical on the Int backend.
+ * request validation — shapes, NaN/Inf values and out-of-vocabulary
+ * token ids are rejected at submit() while good requests in the same
+ * batch window serve bit-identically — and inference-only Conv+BN
+ * folding (serve/bn_fold.hh) staying bit-identical on the Int backend.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -90,19 +93,16 @@ toIntBackend(Module& model, const Tensor& x)
 /**
  * Serve every composition of @p data through a fresh one-worker
  * server and require each response bit-identical to the same request
- * run alone (@p refs, computed by direct forwards). Compositions are
- * sized to sum to maxBatch so the worker coalesces them into one
+ * run alone (@p refs, computed by direct eval forwards — so this is
+ * also the executed-plan-vs-forward bit-equality check). Compositions
+ * are sized to sum to maxBatch so the worker coalesces them into one
  * forward (a slow machine may split them — invariance must hold
- * either way). With @p planned the server runs the shared-model
- * plan-execution path instead of the replica/arena path — the
- * references are still direct (scope-path) forwards, so this is also
- * the planned-vs-scope bit-equality check.
+ * either way).
  */
 void
 checkCompositions(Module& model, const BatchTraits& traits,
                   const Tensor& data, int ompThreads,
-                  const std::vector<std::vector<size_t>>& comps,
-                  bool planned = false)
+                  const std::vector<std::vector<size_t>>& comps)
 {
     auto slice = traits.batchAxis == 0 ? sliceAxis0 : sliceAxis1;
     for (const std::vector<size_t>& comp : comps) {
@@ -122,34 +122,24 @@ checkCompositions(Module& model, const BatchTraits& traits,
         opt.maxBatch = total;
         opt.deadlineUs = 2'000'000; // settled by the batch filling
         opt.ompThreads = ompThreads;
-        std::unique_ptr<BatchServer> server;
-        if (planned)
-            server = std::make_unique<BatchServer>(model, size_t(1),
-                                                   traits, opt);
-        else
-            server = std::make_unique<BatchServer>(
-                std::vector<Module*>{&model}, traits, opt);
+        BatchServer server(model, 1, traits, opt);
         std::vector<std::future<Tensor>> futs;
         for (Tensor& r : reqs)
-            futs.push_back(server->submit(std::move(r)).future);
+            futs.push_back(server.submit(std::move(r)).future);
         for (size_t i = 0; i < futs.size(); ++i) {
             SCOPED_TRACE(testing::Message()
                          << "request " << i << " of " << comp.size()
-                         << ", threads " << ompThreads << ", planned "
-                         << planned);
+                         << ", threads " << ompThreads);
             Tensor got = futs[i].get();
             expectBitEqual(got, refs[i]);
         }
-        server->stop(true);
-        BatchServer::Stats st = server->stats();
+        server.stop(true);
+        BatchServer::Stats st = server.stats();
         EXPECT_EQ(st.requests, comp.size());
         EXPECT_EQ(st.items, total);
-        EXPECT_EQ(st.arenaOverflows, 0u);
-        if (planned) {
-            EXPECT_GT(st.planPeakBytes, 0u);
-            EXPECT_GE(st.arenaCapacity, st.planPeakBytes);
-            EXPECT_GT(st.scratchBytes, 0u);
-        }
+        EXPECT_GT(st.planPeakBytes, 0u);
+        EXPECT_GE(st.slabBytes, st.planPeakBytes);
+        EXPECT_GT(st.scratchBytes, 0u);
     }
 }
 
@@ -186,9 +176,7 @@ TEST(ServeBatching, MiniResNetRequestInvariantToCoalescing)
 
         BatchTraits traits;
         traits.itemShape = {1, 3, 12, 12};
-        for (bool planned : {false, true})
-            checkCompositions(*model, traits, x, threads, kComps,
-                              planned);
+        checkCompositions(*model, traits, x, threads, kComps);
     }
 }
 
@@ -216,7 +204,7 @@ checkPlannedCnn(Make make)
         auto model = make(rng);
         toIntBackend(*model, x);
         checkCompositions(*model, BatchTraits{{1, 3, 12, 12}, 0, false},
-                          x, threads, kLaneComps, /*planned=*/true);
+                          x, threads, kLaneComps);
     }
 }
 
@@ -252,9 +240,7 @@ TEST(ServeBatching, LstmLmRequestInvariantToCoalescing)
         traits.itemShape = {t, 1};
         traits.batchAxis = 1;
         traits.timeMajorOut = true;
-        for (bool planned : {false, true})
-            checkCompositions(lm, traits, x, threads, kComps,
-                              planned);
+        checkCompositions(lm, traits, x, threads, kComps);
     }
 }
 
@@ -276,9 +262,7 @@ TEST(ServeBatching, GruTaggerRequestInvariantToCoalescing)
         traits.itemShape = {t, 1, feat};
         traits.batchAxis = 1;
         traits.timeMajorOut = true;
-        for (bool planned : {false, true})
-            checkCompositions(tagger, traits, x, threads, kComps,
-                              planned);
+        checkCompositions(tagger, traits, x, threads, kComps);
     }
 }
 
@@ -312,8 +296,8 @@ TEST(ServeConcurrency, RaggedProducersAllSettleCorrectly)
     ServeOptions opt;
     opt.maxBatch = 8;
     opt.deadlineUs = 300;
-    BatchServer server({model.get()},
-                       BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
+    BatchServer server(*model, 1, BatchTraits{{1, 3, 12, 12}, 0, false},
+                       opt);
 
     std::vector<std::vector<std::future<Tensor>>> futs(kProducers);
     std::vector<std::thread> producers;
@@ -358,8 +342,8 @@ TEST(ServeShutdown, StopMidFlightSettlesEveryFuture)
     ServeOptions opt;
     opt.maxBatch = 4;
     opt.deadlineUs = 50'000; // keep requests queued at stop time
-    BatchServer server({model.get()},
-                       BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
+    BatchServer server(*model, 1, BatchTraits{{1, 3, 12, 12}, 0, false},
+                       opt);
 
     std::vector<std::future<Tensor>> futs;
     for (int i = 0; i < 40; ++i)
@@ -408,7 +392,7 @@ TEST(ServeShutdown, SubmitVsStopHammerIsDeterministic)
         ServeOptions opt;
         opt.maxBatch = 4;
         opt.deadlineUs = 200;
-        BatchServer server({model.get()},
+        BatchServer server(*model, 1,
                            BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
 
         std::vector<std::vector<SubmitResult>> results(kProducers);
@@ -466,8 +450,8 @@ TEST(ServeDeadline, ZeroDeadlineServesOneRequestPerBatch)
     ServeOptions opt;
     opt.maxBatch = 8;
     opt.deadlineUs = 0; // degenerate: never coalesce
-    BatchServer server({model.get()},
-                       BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
+    BatchServer server(*model, 1, BatchTraits{{1, 3, 12, 12}, 0, false},
+                       opt);
 
     std::vector<std::future<Tensor>> futs;
     for (int i = 0; i < 6; ++i)
@@ -491,8 +475,8 @@ TEST(ServeValidation, BadRequestsFailTheirFutureOnly)
 
     ServeOptions opt;
     opt.maxBatch = 4;
-    BatchServer server({model.get()},
-                       BatchTraits{{1, 3, 12, 12}, 0, false}, opt);
+    BatchServer server(*model, 1, BatchTraits{{1, 3, 12, 12}, 0, false},
+                       opt);
 
     EXPECT_THROW(
         server.submit(Tensor({1, 3, 10, 10})).future.get(), // wrong dims
@@ -508,6 +492,99 @@ TEST(ServeValidation, BadRequestsFailTheirFutureOnly)
     Tensor got = server.submit(sliceAxis0(x, 0, 1)).future.get();
     EXPECT_EQ(got.dim(0), 1u);
     server.stop(true);
+}
+
+/**
+ * Submit @p bad between two good requests of one batch window (the
+ * server's maxBatch is 2 and its deadline long, so the good pair
+ * coalesces): the bad request must come back Rejected with
+ * std::invalid_argument, never reaching a worker, and both good
+ * requests must be served bit-identical to their direct forwards.
+ */
+void
+checkHostileRejected(BatchServer& server, const Tensor& good0,
+                     const Tensor& ref0, const Tensor& good1,
+                     const Tensor& ref1, Tensor bad)
+{
+    SubmitResult r0 = server.submit(good0);
+    SubmitResult rb = server.submit(std::move(bad));
+    SubmitResult r1 = server.submit(good1);
+    EXPECT_EQ(rb.status, ServeStatus::Rejected);
+    EXPECT_THROW(rb.future.get(), std::invalid_argument);
+    ASSERT_EQ(r0.status, ServeStatus::Accepted);
+    ASSERT_EQ(r1.status, ServeStatus::Accepted);
+    expectBitEqual(r0.future.get(), ref0);
+    expectBitEqual(r1.future.get(), ref1);
+}
+
+TEST(ServeValidation, NonFiniteValuesAreRejected)
+{
+    Rng dataRng(105);
+    Tensor x = Tensor::randn({2, 3, 12, 12}, dataRng, 1.0);
+    Rng rng(106);
+    auto model = makeMiniResNet(4, rng);
+    toIntBackend(*model, x);
+    Tensor good0 = sliceAxis0(x, 0, 1), good1 = sliceAxis0(x, 1, 1);
+    Tensor ref0 = model->forward(good0, false);
+    Tensor ref1 = model->forward(good1, false);
+
+    ServeOptions opt;
+    opt.maxBatch = 2;
+    opt.deadlineUs = 2'000'000; // settled by the pair filling it
+    BatchServer server(*model, 1, BatchTraits{{1, 3, 12, 12}, 0, false},
+                       opt);
+    const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()};
+    for (float v : kBad) {
+        SCOPED_TRACE(testing::Message() << "value " << v);
+        Tensor all = Tensor::full({1, 3, 12, 12}, v);
+        checkHostileRejected(server, good0, ref0, good1, ref1, all);
+        Tensor one = good0;
+        one[77] = v;
+        checkHostileRejected(server, good0, ref0, good1, ref1, one);
+    }
+    server.stop(true);
+    BatchServer::Stats st = server.stats();
+    EXPECT_EQ(st.requests, 12u);
+    EXPECT_EQ(st.accepted, 12u);
+    EXPECT_EQ(st.faults, 0u);
+}
+
+TEST(ServeValidation, TokenIdsOutsideTheVocabularyAreRejected)
+{
+    size_t vocab = 20, t = 6;
+    Tensor x({t, 2});
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = float(i % vocab);
+    Rng rng(107);
+    LstmLm lm(vocab, 10, 16, 2, rng);
+    toIntBackend(lm, x);
+    Tensor good0 = sliceAxis1(x, 0, 1), good1 = sliceAxis1(x, 1, 1);
+    Tensor ref0 = lm.forward(good0, false);
+    Tensor ref1 = lm.forward(good1, false);
+    Tensor edge = good0; // the last valid id
+    edge[3] = float(vocab - 1);
+    Tensor refEdge = lm.forward(edge, false);
+
+    ServeOptions opt;
+    opt.maxBatch = 2;
+    opt.deadlineUs = 2'000'000;
+    BatchServer server(lm, 1, BatchTraits{{t, 1}, 1, true}, opt);
+    const float kBad[] = {-1.0f, 2.5f, float(vocab), 1e6f,
+                          std::numeric_limits<float>::quiet_NaN()};
+    for (float v : kBad) {
+        SCOPED_TRACE(testing::Message() << "id " << v);
+        Tensor bad = good0;
+        bad[3] = v;
+        checkHostileRejected(server, good0, ref0, good1, ref1, bad);
+    }
+    SubmitResult re = server.submit(edge);
+    SubmitResult r1 = server.submit(good1);
+    expectBitEqual(re.future.get(), refEdge);
+    expectBitEqual(r1.future.get(), ref1);
+    server.stop(true);
+    EXPECT_EQ(server.stats().faults, 0u);
 }
 
 // ------------------------------------------------------------------
@@ -576,9 +653,7 @@ TEST(ServeBnFold, FoldedModelServesBitIdentically)
 
     BatchTraits traits;
     traits.itemShape = {1, 3, 12, 12};
-    for (bool planned : {false, true})
-        checkCompositions(*model, traits, x, 0, {{3, 1, 2, 1}},
-                          planned);
+    checkCompositions(*model, traits, x, 0, {{3, 1, 2, 1}});
 }
 
 TEST(ServePlanned, TwoReplicasOverOneModelServeConcurrently)
@@ -618,7 +693,6 @@ TEST(ServePlanned, TwoReplicasOverOneModelServeConcurrently)
     server.stop(true);
     BatchServer::Stats st = server.stats();
     EXPECT_EQ(st.requests, reqs.size());
-    EXPECT_EQ(st.arenaOverflows, 0u);
 }
 
 /** bench_serve --memory-report's weight-heavy MLP, Int backend. */
