@@ -21,6 +21,7 @@
 #include <omp.h>
 #endif
 
+#include "nn/gemm.hh"
 #include "nn/layers.hh"
 #include "quant/quantizer.hh"
 #include "util/rng.hh"
@@ -145,8 +146,10 @@ BM_LinearIntEval8T(benchmark::State& state)
 }
 BENCHMARK(BM_LinearIntEval8T)->Args({32, 256, 256})->UseRealTime();
 
-// Conv2d int eval — informational (the im2col + per-image split
-// dominates; no budget gate).
+// Conv2d eval, 3x3 pad 1, Args {n, ch, hw, stride} — informational,
+// no budget gate. The int path reads a phased code image instead of
+// copying im2col columns; the stride-2 shape exercises its four
+// stride phases.
 void
 runConvEval(benchmark::State& state, bool integer, int threads)
 {
@@ -154,8 +157,10 @@ runConvEval(benchmark::State& state, bool integer, int threads)
     size_t n = size_t(state.range(0));
     size_t ch = size_t(state.range(1));
     size_t hw = size_t(state.range(2));
+    size_t stride = size_t(state.range(3));
+    size_t ohw = convOut(hw, 3, stride, 1);
     Rng rng(5);
-    Conv2d conv(ch, ch, 3, 1, 1, rng);
+    Conv2d conv(ch, ch, 3, stride, 1, rng);
     Tensor x = positiveActs({n, ch, hw, hw}, 13);
     if (integer) {
         conv.configureOwnActQuant(4, true);
@@ -174,7 +179,7 @@ runConvEval(benchmark::State& state, bool integer, int threads)
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(2 * n * ch * ch * 9 * hw * hw));
+                            int64_t(2 * n * ch * ch * 9 * ohw * ohw));
 }
 
 void
@@ -182,14 +187,17 @@ BM_ConvFloatEval1T(benchmark::State& state)
 {
     runConvEval(state, /*integer=*/false, 1);
 }
-BENCHMARK(BM_ConvFloatEval1T)->Args({2, 16, 14})->UseRealTime();
+BENCHMARK(BM_ConvFloatEval1T)->Args({2, 16, 14, 1})->UseRealTime();
 
 void
 BM_ConvIntEval1T(benchmark::State& state)
 {
     runConvEval(state, /*integer=*/true, 1);
 }
-BENCHMARK(BM_ConvIntEval1T)->Args({2, 16, 14})->UseRealTime();
+BENCHMARK(BM_ConvIntEval1T)
+    ->Args({2, 16, 14, 1})
+    ->Args({2, 16, 14, 2})
+    ->UseRealTime();
 
 } // namespace
 

@@ -14,7 +14,7 @@
  * to drive it like the bench_micro_* binaries — runs the requested
  * repetitions of "serve/single" (closed loop, one request in flight,
  * maxBatch 1) and "serve/batched" (saturated queue, maxBatch 16) and
- * emits median items_per_second aggregates. The gated ratio:
+ * emits median and cv items_per_second aggregates. The gated ratio:
  * coalescing must beat one-at-a-time dispatch.
  *
  * Memory-report mode (--memory-report): builds a deliberately
@@ -29,15 +29,17 @@
  *
  * Overload mode (--overload): measures the saturated closed-loop
  * capacity, then offers 3x that rate open-loop against a bounded
- * queue under the Shed policy and prints one JSON object with the
- * baseline rate, offered rate, goodput, shed/expired counts and the
- * queue high-water mark. tools/check_serve_goodput.py gates on it:
- * goodput under 3x overload must stay within 10% of the no-overload
- * rate and the queue must respect its bound.
+ * queue under the Shed policy — both with a worker team of one
+ * hardware thread fewer than the host has — and prints one JSON
+ * object with the baseline rate, offered rate, goodput, shed/expired
+ * counts and the queue high-water mark. tools/check_serve_goodput.py
+ * gates on it: goodput under 3x overload must stay within 10% of the
+ * no-overload rate and the queue must respect its bound.
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -157,14 +159,16 @@ pumpSaturated(BatchServer& srv, const std::vector<Tensor>& items,
 /**
  * Saturated queue: every request submitted up front, the worker
  * coalesces maxBatch-item batches. Returns served items/s.
+ * @p ompThreads as ServeOptions::ompThreads (0 = the environment's).
  */
 double
 runBatched(Module& model, const std::vector<Tensor>& items,
-           size_t maxBatch)
+           size_t maxBatch, int ompThreads = 0)
 {
     ServeOptions opt;
     opt.maxBatch = maxBatch;
     opt.deadlineUs = 500;
+    opt.ompThreads = ompThreads;
     BatchServer srv(model, /*replicas=*/1, cnnTraits(), opt);
     double rate = pumpSaturated(srv, items, maxBatch);
     srv.stop(true);
@@ -220,7 +224,16 @@ runBudgetMode(const std::string& filter, int repetitions)
         double median = rates[rates.size() / 2];
         if (rates.size() % 2 == 0)
             median = 0.5 * (median + rates[rates.size() / 2 - 1]);
-        char buf[512];
+        // google-benchmark's cv aggregate: sample stddev / mean.
+        double mean = 0.0, var = 0.0;
+        for (double r : rates)
+            mean += r / double(rates.size());
+        for (double r : rates)
+            var += (r - mean) * (r - mean);
+        double cv = rates.size() > 1
+                        ? std::sqrt(var / double(rates.size() - 1)) / mean
+                        : 0.0;
+        char buf[1024];
         std::snprintf(
             buf, sizeof(buf),
             "%s    {\"name\": \"%s_median\", \"run_name\": \"%s\",\n"
@@ -228,9 +241,13 @@ runBudgetMode(const std::string& filter, int repetitions)
             "\"aggregate_name\": \"median\",\n"
             "     \"iterations\": %zu, \"real_time\": %.1f,\n"
             "     \"cpu_time\": %.1f, \"time_unit\": \"ns\",\n"
-            "     \"items_per_second\": %.3f}",
+            "     \"items_per_second\": %.3f},\n"
+            "    {\"name\": \"%s_cv\", \"run_name\": \"%s\",\n"
+            "     \"run_type\": \"aggregate\", "
+            "\"aggregate_name\": \"cv\",\n"
+            "     \"items_per_second\": %.6f}",
             first ? "" : ",\n", b.name, b.name, items.size(),
-            1e9 / median, 1e9 / median, median);
+            1e9 / median, 1e9 / median, median, b.name, b.name, cv);
         out += buf;
         first = false;
     }
@@ -353,11 +370,19 @@ runOverloadReport(double seconds)
     for (int i = 0; i < 512; ++i)
         items.push_back(makeItem(itemRng));
 
+    // The worker's team leaves one hardware thread to the pacing
+    // producer: a producer that preempts a team member stalls the
+    // whole batch at the team's barrier, and both phases would then
+    // measure the scheduler instead of admission control.
+    const int team =
+        int(std::max(2u, std::thread::hardware_concurrency()) - 1);
+
     // Baseline: saturated, unbounded queue, no shedding.
-    double baseline = runBatched(*model, items, 16);
+    double baseline = runBatched(*model, items, 16, team);
 
     constexpr size_t kMaxQueueItems = 64;
     ServeOptions opt;
+    opt.ompThreads = team;
     opt.maxBatch = 16;
     opt.deadlineUs = 500;
     opt.maxQueueItems = kMaxQueueItems;

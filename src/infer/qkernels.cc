@@ -50,17 +50,6 @@ quantizeActsInt(const float* x, int32_t* q, size_t n,
     }
 }
 
-void
-quantizeActsInt(const float* x, int16_t* q, size_t n,
-                const ActQuantParams& p)
-{
-    const float lo = p.lo, hi = p.hi, scale = p.scale;
-    #pragma omp simd
-    for (size_t i = 0; i < n; ++i) {
-        float c = std::clamp(x[i], lo, hi);
-        q[i] = int16_t(int32_t(std::nearbyint(c * scale)));
-    }
-}
 
 void
 transposeInt32(const int32_t* src, int32_t* dst, size_t rows,
@@ -90,32 +79,14 @@ quantizeTransposeActsT(const float* x, size_t n, size_t k,
 
 template <typename T>
 void
-im2colIntT(const T* img, size_t c, size_t h, size_t w, size_t kh,
-           size_t kw, size_t stride, size_t pad, T* cols)
+quantizeActsScatterT(const float* x, size_t n, const ActQuantParams& p,
+                     const uint32_t* dst, T* q)
 {
-    size_t oh = convOut(h, kh, stride, pad);
-    size_t ow = convOut(w, kw, stride, pad);
-    size_t ncols = oh * ow;
-    size_t row = 0;
-    for (size_t ch = 0; ch < c; ++ch) {
-        for (size_t ki = 0; ki < kh; ++ki) {
-            for (size_t kj = 0; kj < kw; ++kj, ++row) {
-                T* dst = cols + row * ncols;
-                for (size_t oy = 0; oy < oh; ++oy) {
-                    long iy = long(oy * stride + ki) - long(pad);
-                    for (size_t ox = 0; ox < ow; ++ox) {
-                        long ix = long(ox * stride + kj) - long(pad);
-                        T v = 0;
-                        if (iy >= 0 && iy < long(h) && ix >= 0 &&
-                            ix < long(w)) {
-                            v = img[(ch * h + size_t(iy)) * w +
-                                    size_t(ix)];
-                        }
-                        dst[oy * ow + ox] = v;
-                    }
-                }
-            }
-        }
+    const float lo = p.lo, hi = p.hi, scale = p.scale;
+    #pragma omp simd
+    for (size_t i = 0; i < n; ++i) {
+        float c = std::clamp(x[i], lo, hi);
+        q[dst[i]] = T(int32_t(std::nearbyint(c * scale)));
     }
 }
 
@@ -136,35 +107,83 @@ quantizeTransposeActs(const float* x, size_t n, size_t k,
 }
 
 void
-im2colInt(const int16_t* img, size_t c, size_t h, size_t w,
-          size_t kh, size_t kw, size_t stride, size_t pad,
-          int16_t* cols)
+quantizeActsScatter(const float* x, size_t n, const ActQuantParams& p,
+                    const uint32_t* dst, int32_t* q)
 {
-    im2colIntT(img, c, h, w, kh, kw, stride, pad, cols);
+    quantizeActsScatterT(x, n, p, dst, q);
 }
 
 void
-im2colInt(const int32_t* img, size_t c, size_t h, size_t w,
-          size_t kh, size_t kw, size_t stride, size_t pad,
-          int32_t* cols)
+quantizeActsScatter(const float* x, size_t n, const ActQuantParams& p,
+                    const uint32_t* dst, int16_t* q)
 {
-    im2colIntT(img, c, h, w, kh, kw, stride, pad, cols);
+    quantizeActsScatterT(x, n, p, dst, q);
+}
+
+void
+ConvCodeLayout::build(size_t c, size_t h, size_t w, size_t k,
+                      size_t stride, size_t pad)
+{
+    const size_t s = stride;
+    oh = convOut(h, k, s, pad);
+    ow = convOut(w, k, s, pad);
+    const size_t hph = (h + 2 * pad + s - 1) / s;
+    rowStride = (w + 2 * pad + s - 1) / s;
+    // Reads of lanes < used stay inside their plane; the rounding
+    // lanes run on into the next plane or the zero tail.
+    const size_t used = (oh - 1) * rowStride + ow;
+    lanes = (used + 15) / 16 * 16;
+    size = s * s * c * hph * rowStride + (lanes - used);
+    MIXQ_ASSERT(size <= UINT32_MAX,
+                "ConvCodeLayout: code image exceeds 32-bit offsets");
+    // Slot of padded pixel (py, px) of channel ch.
+    auto slot = [&](size_t ch, size_t py, size_t px) {
+        size_t phase = (py % s) * s + px % s;
+        return uint32_t(((phase * c + ch) * hph + py / s) * rowStride +
+                        px / s);
+    };
+    rowOff.resize(c * k * k);
+    for (size_t ch = 0, j = 0; ch < c; ++ch)
+        for (size_t ki = 0; ki < k; ++ki)
+            for (size_t kj = 0; kj < k; ++kj, ++j)
+                rowOff[j] = slot(ch, ki, kj);
+    dst.resize(c * h * w);
+    for (size_t ch = 0, i = 0; ch < c; ++ch)
+        for (size_t y = 0; y < h; ++y)
+            for (size_t x = 0; x < w; ++x, ++i)
+                dst[i] = slot(ch, y + pad, x + pad);
 }
 
 namespace {
 
+/** Linear/RNN activation rows: row j starts at j * lda. */
+struct StridedRows
+{
+    size_t lda;
+    size_t operator()(uint32_t j) const { return size_t(j) * lda; }
+};
+
+/** Conv activation rows: row j starts at rowOff[j] of a phased code
+    image (ConvCodeLayout). */
+struct OffsetRows
+{
+    const uint32_t* rowOff;
+    size_t operator()(uint32_t j) const { return rowOff[j]; }
+};
+
 /**
- * One register-resident lane tile of the class traversal: P batch
- * lanes of one output row. P is a compile-time width so the class
- * sum and the row accumulator never leave registers — the column
- * loop is then one vector load + one vector add per code. @p lda is
- * the full batch stride of the transposed activations.
+ * One register-resident lane tile of the class traversal: P
+ * activation lanes of one output row. P is a compile-time width so
+ * the class sum and the row accumulator never leave registers — the
+ * column loop is then one vector load + one vector add per code.
+ * @p row maps a reduction index to the start of its activation row
+ * (StridedRows or OffsetRows); @p acts is already advanced to the
+ * tile's first lane.
  */
-template <size_t P>
+template <size_t P, typename Rows>
 void
 qgemmRowTile(std::span<const QCodeClass> classes, const uint32_t* idx,
-             bool sp2, const int32_t* actsT, size_t lda,
-             int32_t* accRow)
+             bool sp2, const int32_t* acts, Rows row, int32_t* accRow)
 {
     int32_t acc[P] = {};
     for (const QCodeClass& c : classes) {
@@ -178,8 +197,8 @@ qgemmRowTile(std::span<const QCodeClass> classes, const uint32_t* idx,
         int32_t sum[P] = {}, sumB[P] = {};
         uint32_t t = c.begin;
         for (; t + 2 <= c.end; t += 2) {
-            const int32_t* a0 = actsT + size_t(idx[t]) * lda;
-            const int32_t* a1 = actsT + size_t(idx[t + 1]) * lda;
+            const int32_t* a0 = acts + row(idx[t]);
+            const int32_t* a1 = acts + row(idx[t + 1]);
             #pragma omp simd
             for (size_t q = 0; q < P; ++q) {
                 sum[q] = int32_t(uint32_t(sum[q]) + uint32_t(a0[q]));
@@ -188,7 +207,7 @@ qgemmRowTile(std::span<const QCodeClass> classes, const uint32_t* idx,
             }
         }
         if (t < c.end) {
-            const int32_t* a0 = actsT + size_t(idx[t]) * lda;
+            const int32_t* a0 = acts + row(idx[t]);
             #pragma omp simd
             for (size_t q = 0; q < P; ++q)
                 sum[q] = int32_t(uint32_t(sum[q]) + uint32_t(a0[q]));
@@ -218,7 +237,7 @@ qgemmRowTile(std::span<const QCodeClass> classes, const uint32_t* idx,
 }
 
 /**
- * Halfword lane tile: same traversal as qgemmRowTile with the class
+ * Halfword lane tile: the int32 tile's traversal with the class
  * sums carried in int16 — half the load traffic, twice the lanes per
  * vector op. The caller guarantees (halfwordSafe) that no class sum
  * can overflow int16; the exact sum then widens to int32 for the
@@ -226,19 +245,18 @@ qgemmRowTile(std::span<const QCodeClass> classes, const uint32_t* idx,
  * through int promotion and truncate back, which is wraparound-
  * defined and never wraps under the caller's bound.
  */
-template <size_t P>
+template <size_t P, typename Rows>
 void
-qgemmRowTile16(std::span<const QCodeClass> classes,
-               const uint32_t* idx, bool sp2, const int16_t* actsT,
-               size_t lda, int32_t* accRow)
+qgemmRowTile(std::span<const QCodeClass> classes, const uint32_t* idx,
+             bool sp2, const int16_t* acts, Rows row, int32_t* accRow)
 {
     int32_t acc[P] = {};
     for (const QCodeClass& c : classes) {
         int16_t sum[P] = {}, sumB[P] = {};
         uint32_t t = c.begin;
         for (; t + 2 <= c.end; t += 2) {
-            const int16_t* a0 = actsT + size_t(idx[t]) * lda;
-            const int16_t* a1 = actsT + size_t(idx[t + 1]) * lda;
+            const int16_t* a0 = acts + row(idx[t]);
+            const int16_t* a1 = acts + row(idx[t + 1]);
             #pragma omp simd
             for (size_t q = 0; q < P; ++q) {
                 sum[q] = int16_t(sum[q] + a0[q]);
@@ -246,7 +264,7 @@ qgemmRowTile16(std::span<const QCodeClass> classes,
             }
         }
         if (t < c.end) {
-            const int16_t* a0 = actsT + size_t(idx[t]) * lda;
+            const int16_t* a0 = acts + row(idx[t]);
             #pragma omp simd
             for (size_t q = 0; q < P; ++q)
                 sum[q] = int16_t(sum[q] + a0[q]);
@@ -283,89 +301,50 @@ qgemmRowTile16(std::span<const QCodeClass> classes,
         accRow[q] = acc[q];
 }
 
-} // namespace
-
+/**
+ * Weight-stationary class traversal of output row @p r (see
+ * qpack.hh): sum the activation rows of one code class with plain
+ * adds, then apply that class's code ONCE to the sum — two masked
+ * shifts and a sign flip for SP2 classes (Sp2Code::apply's value, no
+ * multiply), one signed multiply for Fixed classes (the DSP
+ * datapath). Integer addition is associative, so the regrouped,
+ * tiled traversal is bit-exact against the sim cores' per-code order
+ * for every lane split.
+ */
+template <typename T, typename Rows>
 void
-qgemmRow(const PackedQMat& w, size_t r, const int32_t* actsT,
-         size_t p, int32_t* accRow)
-{
-    // Weight-stationary class traversal (see qpack.hh): sum the
-    // activation columns of one code class with plain adds, then
-    // apply that class's code ONCE to the sum — two masked shifts
-    // and a sign flip for SP2 classes (Sp2Code::apply's value, no
-    // multiply), one signed multiply for Fixed classes (the DSP
-    // datapath). Integer addition is associative, so the regrouped,
-    // tiled traversal is bit-exact against the sim cores' per-code
-    // order for every lane split.
-    auto classes = w.rowClasses(r);
-    const uint32_t* idx = w.colIdx().data();
-    bool sp2 = w.rowScheme(r) == QuantScheme::Sp2;
-    size_t q0 = 0;
-    while (p - q0 >= 32) {
-        qgemmRowTile<32>(classes, idx, sp2, actsT + q0, p,
-                         accRow + q0);
-        q0 += 32;
-    }
-    if (p - q0 >= 16) {
-        qgemmRowTile<16>(classes, idx, sp2, actsT + q0, p,
-                         accRow + q0);
-        q0 += 16;
-    }
-    if (p - q0 >= 8) {
-        qgemmRowTile<8>(classes, idx, sp2, actsT + q0, p, accRow + q0);
-        q0 += 8;
-    }
-    if (p - q0 >= 4) {
-        qgemmRowTile<4>(classes, idx, sp2, actsT + q0, p, accRow + q0);
-        q0 += 4;
-    }
-    if (p - q0 >= 2) {
-        qgemmRowTile<2>(classes, idx, sp2, actsT + q0, p, accRow + q0);
-        q0 += 2;
-    }
-    if (p - q0 >= 1)
-        qgemmRowTile<1>(classes, idx, sp2, actsT + q0, p, accRow + q0);
-}
-
-void
-qgemmRow16(const PackedQMat& w, size_t r, const int16_t* actsT,
-           size_t p, int32_t* accRow)
+qgemmRowT(const PackedQMat& w, size_t r, const T* acts, Rows row,
+          size_t p, int32_t* accRow)
 {
     auto classes = w.rowClasses(r);
     const uint32_t* idx = w.colIdx().data();
     bool sp2 = w.rowScheme(r) == QuantScheme::Sp2;
     size_t q0 = 0;
     while (p - q0 >= 32) {
-        qgemmRowTile16<32>(classes, idx, sp2, actsT + q0, p,
-                           accRow + q0);
+        qgemmRowTile<32>(classes, idx, sp2, acts + q0, row,
+                         accRow + q0);
         q0 += 32;
     }
     if (p - q0 >= 16) {
-        qgemmRowTile16<16>(classes, idx, sp2, actsT + q0, p,
-                           accRow + q0);
+        qgemmRowTile<16>(classes, idx, sp2, acts + q0, row,
+                         accRow + q0);
         q0 += 16;
     }
     if (p - q0 >= 8) {
-        qgemmRowTile16<8>(classes, idx, sp2, actsT + q0, p,
-                          accRow + q0);
+        qgemmRowTile<8>(classes, idx, sp2, acts + q0, row, accRow + q0);
         q0 += 8;
     }
     if (p - q0 >= 4) {
-        qgemmRowTile16<4>(classes, idx, sp2, actsT + q0, p,
-                          accRow + q0);
+        qgemmRowTile<4>(classes, idx, sp2, acts + q0, row, accRow + q0);
         q0 += 4;
     }
     if (p - q0 >= 2) {
-        qgemmRowTile16<2>(classes, idx, sp2, actsT + q0, p,
-                          accRow + q0);
+        qgemmRowTile<2>(classes, idx, sp2, acts + q0, row, accRow + q0);
         q0 += 2;
     }
     if (p - q0 >= 1)
-        qgemmRowTile16<1>(classes, idx, sp2, actsT + q0, p,
-                          accRow + q0);
+        qgemmRowTile<1>(classes, idx, sp2, acts + q0, row, accRow + q0);
 }
-
-namespace {
 
 /**
  * Work below which the row-parallel qgemm / rescaleLinear regions run
@@ -377,11 +356,9 @@ namespace {
 constexpr size_t kQgemmParallelMacs = size_t(1) << 15;
 constexpr size_t kRescaleParallelElems = size_t(1) << 13;
 
-} // namespace
-
+template <typename T>
 void
-qgemm(const PackedQMat& w, const int32_t* actsT, size_t p,
-      int32_t* acc)
+qgemmT(const PackedQMat& w, const T* actsT, size_t p, int32_t* acc)
 {
     MIXQ_ASSERT(w.packed(), "qgemm: weight matrix not packed");
     long rows = long(w.rows());
@@ -389,20 +366,62 @@ qgemm(const PackedQMat& w, const int32_t* actsT, size_t p,
     #pragma omp parallel for schedule(static) \
         if (fork && !inOmpParallel())
     for (long r = 0; r < rows; ++r)
-        qgemmRow(w, size_t(r), actsT, p, acc + size_t(r) * p);
+        qgemmRowT(w, size_t(r), actsT, StridedRows{p}, p,
+                  acc + size_t(r) * p);
+}
+
+template <typename T>
+void
+qgemmConvT(const PackedQMat& w, const T* img, const uint32_t* rowOff,
+           size_t p, int32_t* acc)
+{
+    MIXQ_ASSERT(w.packed(), "qgemmConv: weight matrix not packed");
+    for (size_t r = 0; r < w.rows(); ++r)
+        qgemmRowT(w, r, img, OffsetRows{rowOff}, p, acc + r * p);
+}
+
+} // namespace
+
+void
+qgemm(const PackedQMat& w, const int32_t* actsT, size_t p,
+      int32_t* acc)
+{
+    qgemmT(w, actsT, p, acc);
 }
 
 void
 qgemm16(const PackedQMat& w, const int16_t* actsT, size_t p,
         int32_t* acc)
 {
-    MIXQ_ASSERT(w.packed(), "qgemm16: weight matrix not packed");
-    long rows = long(w.rows());
-    bool fork = w.rows() * w.cols() * p >= kQgemmParallelMacs;
-    #pragma omp parallel for schedule(static) \
-        if (fork && !inOmpParallel())
-    for (long r = 0; r < rows; ++r)
-        qgemmRow16(w, size_t(r), actsT, p, acc + size_t(r) * p);
+    qgemmT(w, actsT, p, acc);
+}
+
+void
+qgemmConv(const PackedQMat& w, const int32_t* img,
+          const uint32_t* rowOff, size_t p, int32_t* acc)
+{
+    qgemmConvT(w, img, rowOff, p, acc);
+}
+
+void
+qgemmConv(const PackedQMat& w, const int16_t* img,
+          const uint32_t* rowOff, size_t p, int32_t* acc)
+{
+    qgemmConvT(w, img, rowOff, p, acc);
+}
+
+void
+qgemmConvRow(const PackedQMat& w, size_t r, const int32_t* img,
+             const uint32_t* rowOff, size_t p, int32_t* accRow)
+{
+    qgemmRowT(w, r, img, OffsetRows{rowOff}, p, accRow);
+}
+
+void
+qgemmConvRow(const PackedQMat& w, size_t r, const int16_t* img,
+             const uint32_t* rowOff, size_t p, int32_t* accRow)
+{
+    qgemmRowT(w, r, img, OffsetRows{rowOff}, p, accRow);
 }
 
 void
@@ -426,18 +445,21 @@ rescaleLinear(const PackedQMat& w, const int32_t* acc, size_t p,
 }
 
 void
-rescaleConv(const PackedQMat& w, const int32_t* acc, size_t p,
-            float actInvScale, const float* bias, float* y)
+rescaleConv(const PackedQMat& w, const int32_t* acc,
+            const ConvCodeLayout& L, float actInvScale,
+            const float* bias, float* y)
 {
-    size_t rows = w.rows();
-    for (size_t r = 0; r < rows; ++r) {
+    const size_t ohow = L.oh * L.ow;
+    for (size_t r = 0; r < w.rows(); ++r) {
         double f = w.rowDequant(r) * double(actInvScale);
         float b = bias ? bias[r] : 0.0f;
-        const int32_t* ar = acc + r * p;
-        float* yr = y + r * p;
-        #pragma omp simd
-        for (size_t q = 0; q < p; ++q)
-            yr[q] = float(double(ar[q]) * f) + b;
+        for (size_t oy = 0; oy < L.oh; ++oy) {
+            const int32_t* ar = acc + r * L.lanes + oy * L.rowStride;
+            float* yr = y + r * ohow + oy * L.ow;
+            #pragma omp simd
+            for (size_t ox = 0; ox < L.ow; ++ox)
+                yr[ox] = float(double(ar[ox]) * f) + b;
+        }
     }
 }
 

@@ -23,11 +23,16 @@
  *
  * Activations enter as integer *codes* — the
  * nearbyint(clamp(x) * scale) that ActFakeQuant::quantizeOnly rounds
- * to before dequantizing — laid out transposed, [k x P] with the
- * reduction dimension outer. P (batch for Linear/RNN steps, OH*OW for
- * conv) is then the contiguous inner loop, so the shift amounts are
- * loop-invariant per weight and the kernel vectorizes over the
- * activation lanes. Codes are carried as int32, or as int16
+ * to before dequantizing — as k activation *rows* of P contiguous
+ * lanes, one row per reduction index. P is then the inner loop, so
+ * the shift amounts are loop-invariant per weight and the kernel
+ * vectorizes over the activation lanes. Linear/RNN steps lay the
+ * rows out transposed, [k x P] with P = batch (row j at j * P). A
+ * convolution never copies its input into im2col columns: each item
+ * keeps one zero-padded, stride-phased code image (ConvCodeLayout)
+ * in which every im2col row is already a contiguous span, found
+ * through a per-layer row-offset table (qgemmConv). Both forms run
+ * the same tile body. Codes are carried as int32, or as int16
  * *halfwords* on the fast path (qgemm16): when
  * maxAbs * cols <= INT16_MAX (halfwordSafe) no class sum can leave
  * int16, the packed lanes halve the load traffic and double the
@@ -40,6 +45,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <vector>
 
 #include "infer/qpack.hh"
 
@@ -73,8 +79,18 @@ ActQuantParams actQuantParams(const ActFakeQuant& aq);
 /** q[i] = round-to-nearest-even integer code of x[i] under @p p. */
 void quantizeActsInt(const float* x, int32_t* q, size_t n,
                      const ActQuantParams& p);
-void quantizeActsInt(const float* x, int16_t* q, size_t n,
-                     const ActQuantParams& p);
+
+/**
+ * Scattering quantize: q[dst[i]] = code of x[i] for i < n — writes
+ * each input element's code straight into its slot of a phased conv
+ * code image (ConvCodeLayout::dst). Both code widths.
+ */
+void quantizeActsScatter(const float* x, size_t n,
+                         const ActQuantParams& p, const uint32_t* dst,
+                         int32_t* q);
+void quantizeActsScatter(const float* x, size_t n,
+                         const ActQuantParams& p, const uint32_t* dst,
+                         int16_t* q);
 
 /**
  * True when every possible class sum over @p cols codes fits int16,
@@ -99,19 +115,46 @@ void quantizeTransposeActs(const float* x, size_t n, size_t k,
                            const ActQuantParams& p, int16_t* qT);
 
 /**
- * im2col over an integer-code image: input [C, H, W] codes to
- * columns [C*kh*kw, OH*OW] — the transposed-activation layout qgemm
- * consumes directly. Identical index arithmetic to the float im2col
- * (nn/gemm.hh); zero padding emits code 0, which is exactly the
- * quantized code of input 0 for both signed and unsigned ranges.
- * Both code widths.
+ * Where one item's codes live for an int convolution: a zero-padded
+ * image split into s x s stride phases (s = stride, p = pad). Phase
+ * (a, b) holds padded[s*y + a][s*x + b] for every channel, as
+ * Hph x Wph planes with Hph = ceil((H + 2p) / s) and
+ * Wph = ceil((W + 2p) / s). The im2col row (ch, ki, kj) is then one
+ * contiguous span of the image, starting at rowOff[(ch*k + ki)*k +
+ * kj] = ((phase(ki % s, kj % s) * C + ch) * Hph + ki / s) * Wph +
+ * kj / s, and output (oy, ox) reads lane q = oy * Wph + ox of it.
+ * The kernel runs `lanes` lanes: (oh - 1) * Wph + ow rounded up to a
+ * multiple of 16, so no row ends in a narrow tile. Lanes with
+ * ox >= ow, or past the last output, are computed and dropped by the
+ * rescale. The image ends in a tail of at most 15 zero codes that
+ * only those rounding lanes read; every other lane reads inside its
+ * own (phase, channel) plane. So a lane sums only codes of the item
+ * or zeros: exact for the kept lanes, and within halfwordSafe's
+ * bound for the dropped ones.
+ *
+ * Slots that no input element maps to (the padding border, the
+ * phase tails and the image tail) must hold code 0: the caller
+ * zeroes the image once when it sizes it, and quantizeActsScatter
+ * through dst never writes them.
  */
-void im2colInt(const int32_t* img, size_t c, size_t h, size_t w,
-               size_t kh, size_t kw, size_t stride, size_t pad,
-               int32_t* cols);
-void im2colInt(const int16_t* img, size_t c, size_t h, size_t w,
-               size_t kh, size_t kw, size_t stride, size_t pad,
-               int16_t* cols);
+struct ConvCodeLayout
+{
+    size_t oh = 0, ow = 0;        //!< output spatial size
+    size_t rowStride = 0;         //!< Wph: lane of (oy, ox) is oy*Wph+ox
+    size_t lanes = 0;             //!< kernel lanes, a multiple of 16
+    size_t size = 0;              //!< codes per item, tail included
+    std::vector<uint32_t> rowOff; //!< [C*k*k] im2col row starts
+    std::vector<uint32_t> dst;    //!< [C*H*W] slot of each input code
+
+    /** Lay out a [c, h, w] input for a k x k kernel. */
+    void build(size_t c, size_t h, size_t w, size_t k, size_t stride,
+               size_t pad);
+
+    size_t bytes() const
+    {
+        return (rowOff.size() + dst.size()) * sizeof(uint32_t);
+    }
+};
 
 /**
  * acc[r][p] = sum_j w[r][j] (x) actsT[j][p] over the whole reduction
@@ -134,13 +177,23 @@ void qgemm(const PackedQMat& w, const int32_t* actsT, size_t p,
 void qgemm16(const PackedQMat& w, const int16_t* actsT, size_t p,
              int32_t* acc);
 
-/** One output row of qgemm (overwrites accRow[0..p)). */
-void qgemmRow(const PackedQMat& w, size_t r, const int32_t* actsT,
-              size_t p, int32_t* accRow);
+/**
+ * Conv form of qgemm: activation row j is the span of @p p lanes at
+ * img + rowOff[j] (one item's ConvCodeLayout image), accumulators
+ * [rows x p]. Serial — conv layers call it once per item inside
+ * their own item-parallel region. The int16 overload has qgemm16's
+ * halfwordSafe precondition.
+ */
+void qgemmConv(const PackedQMat& w, const int32_t* img,
+               const uint32_t* rowOff, size_t p, int32_t* acc);
+void qgemmConv(const PackedQMat& w, const int16_t* img,
+               const uint32_t* rowOff, size_t p, int32_t* acc);
 
-/** One output row of qgemm16 (overwrites accRow[0..p)). */
-void qgemmRow16(const PackedQMat& w, size_t r, const int16_t* actsT,
-                size_t p, int32_t* accRow);
+/** Output row @p r of qgemmConv (overwrites accRow[0..p)). */
+void qgemmConvRow(const PackedQMat& w, size_t r, const int32_t* img,
+                  const uint32_t* rowOff, size_t p, int32_t* accRow);
+void qgemmConvRow(const PackedQMat& w, size_t r, const int16_t* img,
+                  const uint32_t* rowOff, size_t p, int32_t* accRow);
 
 /**
  * Rescale Linear-shaped accumulators [rows x P] into floats
@@ -156,11 +209,13 @@ void rescaleLinear(const PackedQMat& w, const int32_t* acc, size_t p,
                    double* fScratch);
 
 /**
- * Rescale conv-shaped accumulators [rows x P] into channel-major
- * floats y [rows x P] (rows = output channels, P = OH*OW).
+ * Rescale qgemmConv accumulators [rows x L.lanes] into channel-major
+ * floats y [rows x OH*OW] (rows = output channels), dropping the
+ * lanes past each output row.
  */
-void rescaleConv(const PackedQMat& w, const int32_t* acc, size_t p,
-                 float actInvScale, const float* bias, float* y);
+void rescaleConv(const PackedQMat& w, const int32_t* acc,
+                 const ConvCodeLayout& L, float actInvScale,
+                 const float* bias, float* y);
 
 } // namespace mixq
 

@@ -106,6 +106,26 @@ bnChunkedReduce(size_t n, size_t ch,
     }
 }
 
+/**
+ * Size the int-backend conv scratch for @p n items of a [c, h, w]
+ * input: the layout tables, n phased code images of the active code
+ * width — zeroed here, which lays down the padding for every later
+ * forwardServe — and n * @p accRows accumulator rows.
+ */
+void
+stageIntConv(ConvServeScratch& s, bool halfword, size_t n, size_t c,
+             size_t h, size_t w, size_t k, size_t stride, size_t pad,
+             size_t accRows)
+{
+    s.layout.build(c, h, w, k, stride, pad);
+    const size_t codes = n * s.layout.size;
+    if (halfword)
+        s.qIn16.assign(codes, 0);
+    else
+        s.qIn32.assign(codes, 0);
+    s.qAcc.resize(n * accRows * s.layout.lanes);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------- Linear
@@ -438,15 +458,8 @@ Conv2d::prepareServe(ConvServeScratch& s,
     if (intBackend_) {
         qpack_.ensure(w_.w.data(), outCh_, ckk, w_.version,
                       qProj_.rowScheme, qProj_.rowAlpha, qBits_);
-        ActQuantParams ap = actQuantParams(actq_);
-        s.qAcc.resize(n * outCh_ * ohow);
-        if (halfwordSafe(ap, ckk)) {
-            s.qIn16.resize(n * chw);
-            s.qCols16.resize(n * ckk * ohow);
-        } else {
-            s.qIn32.resize(n * chw);
-            s.qCols32.resize(n * ckk * ohow);
-        }
+        stageIntConv(s, halfwordSafe(actQuantParams(actq_), ckk), n,
+                     inCh_, h, w, k_, stride_, pad_, outCh_);
         return;
     }
     wPlanFwd_.ensureA(w_.w.data(), outCh_, ckk, /*trans=*/false,
@@ -471,48 +484,34 @@ Conv2d::forwardServe(const TensorView& x, const TensorView& y,
     MIXQ_ASSERT(y.size() == n * outCh_ * ohow,
                 "Conv2d: serve out shape");
     if (intBackend_) {
-        // Quantize the whole batch to integer codes once; im2col then
-        // gathers codes, so padding zeros stay exact code zeros. Codes
-        // ride the halfword pipeline whenever the reduction depth
-        // admits it (halfwordSafe): bit-identical accumulators, half
-        // the traffic. Item-parallel over disjoint slices; qgemm sees
-        // the enclosing region and stays serial.
-        ActQuantParams ap = actQuantParams(actq_);
-        if (halfwordSafe(ap, ckk)) {
-            quantizeActsInt(x.data, s.qIn16.data(), n * chw, ap);
+        // Each item's codes go straight into its phased image, whose
+        // padding prepareServe already zeroed; every kernel tap then
+        // reads one contiguous span of it. Codes ride the halfword
+        // pipeline whenever the reduction depth admits it
+        // (halfwordSafe): bit-identical accumulators, half the
+        // traffic. Item-parallel over disjoint slices.
+        const ActQuantParams ap = actQuantParams(actq_);
+        const ConvCodeLayout& L = s.layout;
+        auto run = [&](auto* img) {
             #pragma omp parallel for schedule(static) if (!inOmpParallel())
             for (long i = 0; i < long(n); ++i) {
-                int16_t* colsI =
-                    s.qCols16.data() + size_t(i) * ckk * ohow;
+                auto* im = img + size_t(i) * L.size;
                 int32_t* acc =
-                    s.qAcc.data() + size_t(i) * outCh_ * ohow;
-                im2colInt(s.qIn16.data() + size_t(i) * chw, inCh_, h,
-                          w, k_, k_, stride_, pad_, colsI);
-                qgemm16(qpack_, colsI, ohow, acc);
-                rescaleConv(qpack_, acc, ohow, ap.invScale,
-                            hasBias_ ? b_.w.data() : nullptr,
-                            y.data + size_t(i) * outCh_ * ohow);
+                    s.qAcc.data() + size_t(i) * outCh_ * L.lanes;
+                float* out = y.data + size_t(i) * outCh_ * ohow;
+                quantizeActsScatter(x.data + size_t(i) * chw, chw, ap,
+                                    L.dst.data(), im);
+                qgemmConv(qpack_, im, L.rowOff.data(), L.lanes, acc);
+                rescaleConv(qpack_, acc, L, ap.invScale,
+                            hasBias_ ? b_.w.data() : nullptr, out);
                 if (bnFold_)
-                    applyBnEpilogue(
-                        y.data + size_t(i) * outCh_ * ohow, ohow);
+                    applyBnEpilogue(out, ohow);
             }
-            return;
-        }
-        quantizeActsInt(x.data, s.qIn32.data(), n * chw, ap);
-        #pragma omp parallel for schedule(static) if (!inOmpParallel())
-        for (long i = 0; i < long(n); ++i) {
-            int32_t* colsI = s.qCols32.data() + size_t(i) * ckk * ohow;
-            int32_t* acc = s.qAcc.data() + size_t(i) * outCh_ * ohow;
-            im2colInt(s.qIn32.data() + size_t(i) * chw, inCh_, h, w,
-                      k_, k_, stride_, pad_, colsI);
-            qgemm(qpack_, colsI, ohow, acc);
-            rescaleConv(qpack_, acc, ohow, ap.invScale,
-                        hasBias_ ? b_.w.data() : nullptr,
-                        y.data + size_t(i) * outCh_ * ohow);
-            if (bnFold_)
-                applyBnEpilogue(y.data + size_t(i) * outCh_ * ohow,
-                                ohow);
-        }
+        };
+        if (halfwordSafe(ap, ckk))
+            run(s.qIn16.data());
+        else
+            run(s.qIn32.data());
         return;
     }
     // Quantize into replica scratch, never the plan buffer (residual
@@ -719,23 +718,13 @@ DwConv2d::prepareServe(ConvServeScratch& s,
     MIXQ_ASSERT(inShape.size() == 4 && inShape[1] == ch_,
                 "DwConv2d: serve input shape");
     size_t n = inShape[0], h = inShape[2], w = inShape[3];
-    size_t oh = convOut(h, k_, stride_, pad_);
-    size_t ow = convOut(w, k_, stride_, pad_);
     size_t kk = k_ * k_;
-    size_t ohow = oh * ow;
     size_t chw = ch_ * h * w;
     if (intBackend_) {
         qpack_.ensure(w_.w.data(), ch_, kk, w_.version,
                       qProj_.rowScheme, qProj_.rowAlpha, qBits_);
-        ActQuantParams ap = actQuantParams(actq_);
-        s.qAcc.resize(n * ohow);
-        if (halfwordSafe(ap, kk)) {
-            s.qIn16.resize(n * chw);
-            s.qCols16.resize(n * kk * ohow);
-        } else {
-            s.qIn32.resize(n * chw);
-            s.qCols32.resize(n * kk * ohow);
-        }
+        stageIntConv(s, halfwordSafe(actQuantParams(actq_), kk), n, ch_,
+                     h, w, k_, stride_, pad_, 1);
         return;
     }
     if (actq_.enabled())
@@ -758,50 +747,35 @@ DwConv2d::forwardServe(const TensorView& x, const TensorView& y,
                 "DwConv2d: serve out shape");
     if (intBackend_) {
         // Each channel's kernel is one code row of the [C, kh*kw]
-        // pack, so the depthwise product reuses the row microkernel
-        // over a single-channel im2col — Conv2d's shift-add datapath
-        // one row at a time.
-        ActQuantParams ap = actQuantParams(actq_);
-        if (halfwordSafe(ap, kk)) {
-            quantizeActsInt(x.data, s.qIn16.data(), n * chw, ap);
+        // pack, and row c reads channel c's block of the row-offset
+        // table — Conv2d's shift-add datapath one row at a time.
+        const ActQuantParams ap = actQuantParams(actq_);
+        const ConvCodeLayout& L = s.layout;
+        auto run = [&](auto* img) {
             #pragma omp parallel for schedule(static) if (!inOmpParallel())
             for (long i = 0; i < long(n); ++i) {
-                int16_t* cols =
-                    s.qCols16.data() + size_t(i) * kk * ohow;
-                int32_t* acc = s.qAcc.data() + size_t(i) * ohow;
+                auto* im = img + size_t(i) * L.size;
+                int32_t* acc = s.qAcc.data() + size_t(i) * L.lanes;
+                quantizeActsScatter(x.data + size_t(i) * chw, chw, ap,
+                                    L.dst.data(), im);
                 for (size_t c = 0; c < ch_; ++c) {
-                    im2colInt(s.qIn16.data() +
-                                  (size_t(i) * ch_ + c) * h * w,
-                              1, h, w, k_, k_, stride_, pad_, cols);
-                    qgemmRow16(qpack_, c, cols, ohow, acc);
-                    double f =
-                        qpack_.rowDequant(c) * double(ap.invScale);
-                    float* out =
-                        y.data + (size_t(i) * ch_ + c) * ohow;
-                    #pragma omp simd
-                    for (size_t q = 0; q < ohow; ++q)
-                        out[q] = float(double(acc[q]) * f);
+                    qgemmConvRow(qpack_, c, im, L.rowOff.data() + c * kk,
+                                 L.lanes, acc);
+                    double f = qpack_.rowDequant(c) * double(ap.invScale);
+                    float* out = y.data + (size_t(i) * ch_ + c) * ohow;
+                    for (size_t oy = 0; oy < oh; ++oy) {
+                        const int32_t* ar = acc + oy * L.rowStride;
+                        #pragma omp simd
+                        for (size_t ox = 0; ox < ow; ++ox)
+                            out[oy * ow + ox] = float(double(ar[ox]) * f);
+                    }
                 }
             }
-            return;
-        }
-        quantizeActsInt(x.data, s.qIn32.data(), n * chw, ap);
-        #pragma omp parallel for schedule(static) if (!inOmpParallel())
-        for (long i = 0; i < long(n); ++i) {
-            int32_t* cols = s.qCols32.data() + size_t(i) * kk * ohow;
-            int32_t* acc = s.qAcc.data() + size_t(i) * ohow;
-            for (size_t c = 0; c < ch_; ++c) {
-                im2colInt(s.qIn32.data() +
-                              (size_t(i) * ch_ + c) * h * w,
-                          1, h, w, k_, k_, stride_, pad_, cols);
-                qgemmRow(qpack_, c, cols, ohow, acc);
-                double f = qpack_.rowDequant(c) * double(ap.invScale);
-                float* out = y.data + (size_t(i) * ch_ + c) * ohow;
-                #pragma omp simd
-                for (size_t q = 0; q < ohow; ++q)
-                    out[q] = float(double(acc[q]) * f);
-            }
-        }
+        };
+        if (halfwordSafe(ap, kk))
+            run(s.qIn16.data());
+        else
+            run(s.qIn32.data());
         return;
     }
     const float* src = x.data;
@@ -1139,15 +1113,22 @@ ReLU::forward(const Tensor& x, bool train)
 void
 ReLU::forwardServe(const TensorView& x, const TensorView& y) const
 {
-    float cap = float(cap_);
-    size_t len = x.size();
+    // Selects, not branches, so the loops vectorize; the compares
+    // are forward()'s, so NaN and -0.0 pass through unchanged.
+    const float* src = x.data;
+    float* dst = y.data;
+    const size_t len = x.size();
+    if (cap_ == 0.0) {
+        #pragma omp simd
+        for (size_t i = 0; i < len; ++i)
+            dst[i] = src[i] < 0.0f ? 0.0f : src[i];
+        return;
+    }
+    const float cap = float(cap_);
+    #pragma omp simd
     for (size_t i = 0; i < len; ++i) {
-        float v = x.data[i];
-        if (v < 0.0f)
-            v = 0.0f;
-        else if (cap_ != 0.0 && v > cap)
-            v = cap;
-        y.data[i] = v;
+        float v = src[i];
+        dst[i] = v < 0.0f ? 0.0f : (v > cap ? cap : v);
     }
 }
 

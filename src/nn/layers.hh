@@ -4,12 +4,15 @@
  * BatchNorm2d, activations, pooling, Flatten, and the Sequential
  * container. Convolution weights are stored in their GEMM-matrix
  * layout [Cout, Cin*kh*kw] — the same row view that MSQ partitions.
- * All matrix compute (Linear forward/backward, conv via im2col)
- * funnels through nn/gemm.hh and inherits its shape-based dispatch
- * onto the cache-blocked backend. The weight-side operand of each
- * GEMM is held as a pre-packed PackedMat plan (one per weight view),
- * refreshed against Param::version so weights repack only after an
- * optimizer step or quantizer projection, not on every call.
+ * All float matrix compute (Linear forward/backward, conv via
+ * im2col) funnels through nn/gemm.hh and inherits its shape-based
+ * dispatch onto the cache-blocked backend. The weight-side operand
+ * of each GEMM is held as a pre-packed PackedMat plan (one per
+ * weight view), refreshed against Param::version so weights repack
+ * only after an optimizer step or quantizer projection, not on every
+ * call. The int backend's convolutions skip im2col: they read each
+ * kernel tap's span of a zero-padded, stride-phased code image
+ * (ConvCodeLayout, infer/qkernels.hh).
  */
 
 #ifndef MIXQ_NN_LAYERS_HH
@@ -18,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "infer/qkernels.hh"
 #include "infer/qpack.hh"
 #include "nn/gemm_backend.hh"
 #include "nn/module.hh"
@@ -62,21 +66,26 @@ struct LinearServeScratch
     }
 };
 
-/** Scratch of Conv2d::forwardServe and DwConv2d::forwardServe. */
+/**
+ * Scratch of Conv2d::forwardServe and DwConv2d::forwardServe. The int
+ * backend keeps one phased code image per item (ConvCodeLayout,
+ * infer/qkernels.hh): prepareServe zeroes it, which lays down the
+ * padding once, and forwardServe writes only the input slots.
+ */
 struct ConvServeScratch
 {
     std::vector<float> xq;   //!< quantized input copy (float path)
     std::vector<float> cols; //!< im2col columns (float path)
-    std::vector<int16_t> qIn16, qCols16; //!< halfword code pipeline
-    std::vector<int32_t> qIn32, qCols32; //!< int32 code pipeline
-    std::vector<int32_t> qAcc;           //!< int accumulators
+    ConvCodeLayout layout;   //!< int path: row-offset + slot tables
+    std::vector<int16_t> qIn16; //!< phased code images (halfword)
+    std::vector<int32_t> qIn32; //!< phased code images (int32)
+    std::vector<int32_t> qAcc;  //!< int accumulators
 
     size_t bytes() const
     {
         return (xq.size() + cols.size()) * sizeof(float) +
-               (qIn16.size() + qCols16.size()) * sizeof(int16_t) +
-               (qIn32.size() + qCols32.size() + qAcc.size()) *
-                   sizeof(int32_t);
+               layout.bytes() + qIn16.size() * sizeof(int16_t) +
+               (qIn32.size() + qAcc.size()) * sizeof(int32_t);
     }
 };
 
@@ -167,7 +176,8 @@ class Linear : public Module
     LinearServeScratch evalScratch_; //!< int eval forward's scratch
 };
 
-/** 2-D convolution via im2col; weight is [Cout, Cin*kh*kw]. */
+/** 2-D convolution (float path via im2col, int path via a phased
+    code image); weight is [Cout, Cin*kh*kw]. */
 class Conv2d : public Module
 {
   public:
@@ -269,8 +279,8 @@ class DwConv2d : public Module
      * Int-backend switch (see Linear::enableIntInference). The
      * depthwise weight packs as a [C, kh*kw] PackedQMat — each
      * channel's kernel is one row — and eval forwards run
-     * quantize -> per-channel shift-add row kernel -> rescale over
-     * single-channel im2col columns.
+     * quantize -> per-channel shift-add row kernel -> rescale, row c
+     * reading channel c's spans of the phased code image.
      */
     void enableIntInference(const MatrixQuantResult& proj, int wbits);
     void disableIntInference() { intBackend_ = false; }

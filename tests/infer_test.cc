@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "compiler/runner.hh"
@@ -21,6 +24,7 @@
 #include "infer/qkernels.hh"
 #include "infer/qpack.hh"
 #include "infer/session.hh"
+#include "nn/gemm.hh"
 #include "nn/layers.hh"
 #include "nn/models.hh"
 #include "nn/rnn.hh"
@@ -50,6 +54,24 @@ widen(const std::vector<int8_t>& a)
     return std::vector<int32_t>(a.begin(), a.end());
 }
 
+/** Sim-core accumulators of packed row @p r over acts [m x cols]. */
+void
+simRowAccumulators(const PackedQMat& w, size_t r,
+                   const std::vector<int8_t>& acts, size_t m,
+                   int32_t* acc)
+{
+    size_t cols = w.cols();
+    if (w.rowScheme(r) == QuantScheme::Sp2) {
+        GemmSp2Core core(m, cols, 1);
+        core.step(w.sp2Codes().data() + r * cols, acts.data());
+        std::copy_n(core.acc().data(), m, acc);
+    } else {
+        GemmFixedCore core(m, cols, 1);
+        core.step(w.fixedCodes().data() + r * cols, acts.data());
+        std::copy_n(core.acc().data(), m, acc);
+    }
+}
+
 /**
  * Reference accumulators via the simulator cores, one single-row
  * core per packed row: SP2 rows through GemmSp2Core (shift-add
@@ -60,21 +82,9 @@ std::vector<int32_t>
 simAccumulators(const PackedQMat& w, const std::vector<int8_t>& acts,
                 size_t m)
 {
-    size_t cols = w.cols();
     std::vector<int32_t> acc(w.rows() * m);
-    for (size_t r = 0; r < w.rows(); ++r) {
-        if (w.rowScheme(r) == QuantScheme::Sp2) {
-            GemmSp2Core core(m, cols, 1);
-            core.step(w.sp2Codes().data() + r * cols, acts.data());
-            for (size_t b = 0; b < m; ++b)
-                acc[r * m + b] = core.acc()[b];
-        } else {
-            GemmFixedCore core(m, cols, 1);
-            core.step(w.fixedCodes().data() + r * cols, acts.data());
-            for (size_t b = 0; b < m; ++b)
-                acc[r * m + b] = core.acc()[b];
-        }
-    }
+    for (size_t r = 0; r < w.rows(); ++r)
+        simRowAccumulators(w, r, acts, m, acc.data() + r * m);
     return acc;
 }
 
@@ -339,6 +349,195 @@ TEST(InferDiff, DwConv2dIntForwardMatchesFloatEval)
     Tensor back = dw.forward(x, false);
     for (size_t i = 0; i < back.size(); ++i)
         ASSERT_EQ(back[i], want[i]);
+}
+
+// ------------------------------------------------------------------
+// Int Conv2d / DwConv2d forwards bit for bit against a test-local
+// oracle: float im2col of the input's integer codes, the simulator
+// cores, then the layers' rescale. Covers kernel x stride x pad over
+// odd, non-square inputs, batch 1 and 3, bias on and off, and both
+// code pipelines: halfword, and int32 forced by a reduction depth
+// past 2184 at 4-bit unsigned codes (15 * 2185 > INT16_MAX).
+// ------------------------------------------------------------------
+
+struct ConvCase
+{
+    size_t k, stride, pad, inCh, h, w, n;
+};
+
+std::string
+describe(const ConvCase& c)
+{
+    return "k=" + std::to_string(c.k) + " s=" + std::to_string(c.stride) +
+           " p=" + std::to_string(c.pad) + " cin=" +
+           std::to_string(c.inCh) + " " + std::to_string(c.h) + "x" +
+           std::to_string(c.w) + " n=" + std::to_string(c.n);
+}
+
+/** Nonnegative input, so 4-bit unsigned codes span their range. */
+Tensor
+positiveInput(const ConvCase& c, Rng& rng)
+{
+    Tensor x = Tensor::randn({c.n, c.inCh, c.h, c.w}, rng, 1.0);
+    for (float& v : x.span())
+        v = std::fabs(v);
+    return x;
+}
+
+/**
+ * Oracle accumulators of rows [r0, r1) of @p pack over one item's
+ * [chans, h, w] code image @p codes: float im2col, then one sim core
+ * per row. Returns [r1 - r0 x OH*OW].
+ */
+std::vector<int32_t>
+oracleConvAccumulators(const PackedQMat& pack, size_t r0, size_t r1,
+                       const float* codes, size_t chans,
+                       const ConvCase& c)
+{
+    size_t oh = convOut(c.h, c.k, c.stride, c.pad);
+    size_t ow = convOut(c.w, c.k, c.stride, c.pad);
+    size_t rowsK = chans * c.k * c.k, m = oh * ow;
+    std::vector<float> cols(rowsK * m);
+    im2col(codes, chans, c.h, c.w, c.k, c.k, c.stride, c.pad,
+           cols.data());
+    std::vector<int8_t> acts(m * rowsK); // [m x rowsK] for the cores
+    for (size_t j = 0; j < rowsK; ++j)
+        for (size_t q = 0; q < m; ++q)
+            acts[q * rowsK + j] = int8_t(cols[j * m + q]);
+    std::vector<int32_t> acc((r1 - r0) * m);
+    for (size_t r = r0; r < r1; ++r)
+        simRowAccumulators(pack, r, acts, m, acc.data() + (r - r0) * m);
+    return acc;
+}
+
+/** Integer codes of @p x under @p ap, carried as floats for im2col. */
+std::vector<float>
+codeImage(const Tensor& x, const ActQuantParams& ap)
+{
+    std::vector<int32_t> q(x.size());
+    quantizeActsInt(x.data(), q.data(), x.size(), ap);
+    return std::vector<float>(q.begin(), q.end());
+}
+
+void
+expectBitIdentical(const Tensor& got, const std::vector<float>& want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(std::memcmp(got.data() + i, &want[i], sizeof(float)),
+                  0)
+            << "index " << i << ": " << got[i] << " vs " << want[i];
+}
+
+void
+checkConv2dAgainstOracle(const ConvCase& c, bool bias, bool halfword)
+{
+    SCOPED_TRACE(describe(c) + (bias ? " bias" : " no-bias"));
+    Rng rng(41 + c.k * 7 + c.stride * 3 + c.pad);
+    size_t outCh = 5, ckk = c.inCh * c.k * c.k;
+    Conv2d conv(c.inCh, outCh, c.k, c.stride, c.pad, rng, bias);
+    conv.configureOwnActQuant(4, true);
+    Tensor x = positiveInput(c, rng);
+    conv.forward(x, true); // calibrate
+    if (bias)
+        for (float& b : conv.params()[1]->w.span())
+            b = float(rng.normal(0.0, 0.5));
+    QConfig cfg; // Mixed, 4-bit, per-row
+    MatrixQuantResult res =
+        quantizeMatrix(conv.weight().w.data(), conv.weight().w.data(),
+                       outCh, ckk, cfg);
+    conv.weight().noteUpdated();
+    conv.enableIntInference(res, cfg.bits);
+    Tensor got = conv.forward(x, false);
+
+    const PackedQMat& pack = conv.packedQWeights();
+    ActQuantParams ap = actQuantParams(conv.actQuant());
+    ASSERT_EQ(halfwordSafe(ap, ckk), halfword);
+    std::vector<float> codes = codeImage(x, ap);
+    size_t oh = convOut(c.h, c.k, c.stride, c.pad);
+    size_t ow = convOut(c.w, c.k, c.stride, c.pad);
+    size_t m = oh * ow, chw = c.inCh * c.h * c.w;
+    std::vector<float> want(c.n * outCh * m);
+    for (size_t i = 0; i < c.n; ++i) {
+        std::vector<int32_t> acc = oracleConvAccumulators(
+            pack, 0, outCh, codes.data() + i * chw, c.inCh, c);
+        for (size_t r = 0; r < outCh; ++r) {
+            double f = pack.rowDequant(r) * double(ap.invScale);
+            float b = bias ? conv.params()[1]->w[r] : 0.0f;
+            for (size_t q = 0; q < m; ++q)
+                want[(i * outCh + r) * m + q] =
+                    float(double(acc[r * m + q]) * f) + b;
+        }
+    }
+    expectBitIdentical(got, want);
+}
+
+void
+checkDwConv2dAgainstOracle(const ConvCase& c, bool halfword)
+{
+    SCOPED_TRACE(describe(c));
+    Rng rng(61 + c.k * 7 + c.stride * 3 + c.pad);
+    size_t kk = c.k * c.k;
+    DwConv2d dw(c.inCh, c.k, c.stride, c.pad, rng);
+    dw.configureOwnActQuant(4, true);
+    Tensor x = positiveInput(c, rng);
+    dw.forward(x, true); // calibrate
+    QConfig cfg;
+    MatrixQuantResult res = quantizeMatrix(
+        dw.weight().w.data(), dw.weight().w.data(), c.inCh, kk, cfg);
+    dw.weight().noteUpdated();
+    dw.enableIntInference(res, cfg.bits);
+    Tensor got = dw.forward(x, false);
+
+    const PackedQMat& pack = dw.packedQWeights();
+    ActQuantParams ap = actQuantParams(dw.actQuant());
+    ASSERT_EQ(halfwordSafe(ap, kk), halfword);
+    std::vector<float> codes = codeImage(x, ap);
+    size_t oh = convOut(c.h, c.k, c.stride, c.pad);
+    size_t ow = convOut(c.w, c.k, c.stride, c.pad);
+    size_t m = oh * ow, hw = c.h * c.w;
+    std::vector<float> want(c.n * c.inCh * m);
+    for (size_t i = 0; i < c.n; ++i) {
+        for (size_t ch = 0; ch < c.inCh; ++ch) {
+            std::vector<int32_t> acc = oracleConvAccumulators(
+                pack, ch, ch + 1, codes.data() + (i * c.inCh + ch) * hw,
+                1, c);
+            double f = pack.rowDequant(ch) * double(ap.invScale);
+            for (size_t q = 0; q < m; ++q)
+                want[(i * c.inCh + ch) * m + q] =
+                    float(double(acc[q]) * f);
+        }
+    }
+    expectBitIdentical(got, want);
+}
+
+TEST(InferConvExact, HalfwordPathMatchesOracleAcrossGeometry)
+{
+    for (size_t k : {1, 3, 5})
+        for (size_t stride : {1, 2, 3})
+            for (size_t pad : {0, 1, 2})
+                for (size_t n : {1, 3}) {
+                    ConvCase c{k, stride, pad, 3, 9, 7, n};
+                    checkConv2dAgainstOracle(c, /*bias=*/n == 1, true);
+                    checkConv2dAgainstOracle(c, /*bias=*/n != 1, true);
+                    checkDwConv2dAgainstOracle(c, true);
+                }
+}
+
+TEST(InferConvExact, Int32PathMatchesOracle)
+{
+    // ckk = inCh * k * k > 2184 leaves the halfword bound.
+    for (ConvCase c : {ConvCase{1, 2, 1, 2185, 5, 4, 1},
+                       ConvCase{3, 1, 1, 243, 4, 5, 3},
+                       ConvCase{3, 3, 2, 243, 7, 5, 1},
+                       ConvCase{5, 2, 0, 88, 7, 6, 3}}) {
+        checkConv2dAgainstOracle(c, /*bias=*/true, false);
+        checkConv2dAgainstOracle(c, /*bias=*/false, false);
+    }
+    // Depthwise rows reduce over k * k only: a 47x47 kernel.
+    for (ConvCase c : {ConvCase{47, 1, 1, 2, 49, 48, 1},
+                       ConvCase{47, 2, 2, 2, 48, 50, 3}})
+        checkDwConv2dAgainstOracle(c, false);
 }
 
 TEST(InferDiff, LstmIntForwardMatchesFloatEval)

@@ -22,7 +22,10 @@ only oversubscription there. Skipping is a note, never a failure —
 the gate still runs on the CI runners that have the cores.
 
 Exit status is non-zero on any violated check unless --warn-only is
-given. Medians over --repetitions runs feed the ratios.
+given. Medians over --repetitions runs feed the ratios; both sides
+of every pair are printed with their median and coefficient of
+variation (google-benchmark's cv aggregate), so a ratio that sits
+inside the noise shows as such.
 
 Usage:
   tools/check_perf_budget.py --bench build/bench_micro_gemm \
@@ -71,13 +74,28 @@ def run_bench(bench, names, repetitions):
     return json.loads(proc.stdout)
 
 
-def median_items_per_second(report, name):
+def aggregate_items_per_second(report, name, aggregate):
     for b in report.get("benchmarks", []):
         if (b.get("run_name") == name
-                and b.get("aggregate_name") == "median"):
+                and b.get("aggregate_name") == aggregate):
             return b["items_per_second"]
-    sys.exit(f"error: no median aggregate for '{name}' in benchmark "
-             "output — name drift between the bench and the budget?")
+    return None
+
+
+def median_items_per_second(report, name):
+    median = aggregate_items_per_second(report, name, "median")
+    if median is None:
+        sys.exit(f"error: no median aggregate for '{name}' in "
+                 "benchmark output — name drift between the bench and "
+                 "the budget?")
+    return median
+
+
+def describe_side(report, name, median):
+    """Median and coefficient of variation of one side of a pair."""
+    cv = aggregate_items_per_second(report, name, "cv")
+    spread = "cv n/a" if cv is None else f"cv {100.0 * cv:.1f}%"
+    return f"{name}: median {median:.4g}/s, {spread}"
 
 
 def main():
@@ -145,6 +163,8 @@ def main():
         status = "ok  " if ok else "FAIL"
         print(f"{status} {c['name']}: {c['fast']} / {c['slow']} = "
               f"{ratio:.2f}x (budget >= {c['min_ratio']:.2f}x)")
+        print(f"       fast {describe_side(report, c['fast'], fast)}")
+        print(f"       slow {describe_side(report, c['slow'], slow)}")
         if not ok:
             failed.append(c["name"])
 

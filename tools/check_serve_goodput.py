@@ -20,7 +20,10 @@ the run never reached overload and proves nothing).
 Noise policy, mirroring the other perf gates: machines with fewer
 than ``--min-cores`` cores (default 4) skip — a box that can barely
 run the worker plus the producer measures scheduler luck, not
-admission control.
+admission control. ``bench_serve`` runs both phases with a worker
+team of one hardware thread fewer than the host has, so the pacing
+producer never preempts a team member and stalls the team's
+barrier.
 
 Usage:
   tools/check_serve_goodput.py --bench build/bench_serve \
